@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-json vet cover serve-smoke
+.PHONY: all build test race lint lint-json vet cover serve-smoke bench bench-quick bench-compare
 
 all: build vet lint test
 
@@ -39,3 +39,17 @@ lint:
 # ignore-directive status), for editors and CI annotation tooling.
 lint-json:
 	$(GO) run ./cmd/segdifflint -json ./...
+
+# The repo's one benchmark (benchmark/README.md): four served workloads,
+# end to end and per layer, with every output checked. bench-quick is the
+# ~5 s tier CI runs; bench-compare judges two result sets written by
+# `go run ./benchmark -runs N -out F` and fails on a regression:
+#   make bench-compare OLD=parent.json NEW=change.json
+bench:
+	$(GO) run ./benchmark
+
+bench-quick:
+	$(GO) run ./benchmark -quick
+
+bench-compare:
+	$(GO) run ./benchmark -compare $(OLD) $(NEW)

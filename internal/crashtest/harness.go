@@ -12,6 +12,12 @@
 //   - bounded false positives: every returned period contains an event
 //     within 2ε of the threshold (plus integer-grid slope slack).
 //
+// It also judges the zone maps pruning relies on, which the engine derives
+// from the recovered heap pages at mount: after recovery, and again after
+// the resumed ingest, every page summary must cover the live rows of its
+// page, and a pruned forced-scan search must return exactly what the same
+// search returns from the same disk image with zone maps disabled.
+//
 // The workload pins UnionWorkers and WriteWorkers to 1 so the engine's
 // file-operation sequence is a pure function of the workload: crash point
 // k in one run is crash point k in every run, and the recovered disk image
@@ -30,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"segdiff/internal/core"
@@ -224,6 +231,10 @@ func ScriptFor(k int64) faultfs.Script {
 type CrashResult struct {
 	CrashErr  error        // injected failure surfaced by the engine
 	Recovered []core.Match // drop matches of the recovered store
+	// ZoneSkipped counts the heap pages the recovered store's pruned
+	// forced-scan search skipped: above zero somewhere in a matrix, or its
+	// pruned-equals-unpruned check never exercised pruning.
+	ZoneSkipped uint64
 	// Disk is the durable image after the recovered store closed, keyed
 	// by file base name — the determinism witness: equal crash points
 	// must yield byte-identical Disk maps.
@@ -232,41 +243,34 @@ type CrashResult struct {
 
 // CrashAt runs the workload in dir, power-cuts at write-class operation k,
 // reboots from the durable snapshot (driving WAL replay and recovery),
-// resumes and finishes the ingest, and verifies Theorem 1 on the result.
+// resumes and finishes the ingest, and verifies Theorem 1 and the zone
+// maps on the result.
 func (w *Workload) CrashAt(dir string, k int64) (*CrashResult, error) {
-	reg := faultfs.New(w.Seed)
-	st, err := core.Open(dir, w.options(reg))
-	if err != nil {
-		return nil, fmt.Errorf("crashtest: setup open: %w", err)
-	}
-	reg.SetScript(ScriptFor(k))
-
 	res := &CrashResult{}
-	res.CrashErr = w.runToCrash(st)
-	if res.CrashErr == nil {
-		return nil, fmt.Errorf("crashtest: ingest survived scripted crash at op %d", k)
-	}
-	if !errors.Is(res.CrashErr, faultfs.ErrInjected) {
-		return nil, fmt.Errorf("crashtest: non-injected failure at op %d: %w", k, res.CrashErr)
-	}
-	if !reg.Crashed() {
-		return nil, fmt.Errorf("crashtest: op %d errored without power cut: %v", k, res.CrashErr)
-	}
-	// The process is dead: its store object and file handles are simply
-	// abandoned, and recovery starts from the durable bytes alone.
-	boot := faultfs.NewFromSnapshot(w.Seed, reg.Snapshot())
-	st2, err := core.Open(dir, w.options(boot))
+	st2, boot, err := w.crashAndRecover(dir, k, res)
 	if err != nil {
-		return nil, fmt.Errorf("crashtest: recovery open after crash at op %d: %w", k, err)
+		return nil, err
+	}
+	fail := func(what string, err error) (*CrashResult, error) {
+		return nil, errors.Join(fmt.Errorf("crashtest: %s after crash at op %d: %w", what, k, err), st2.Close())
+	}
+	if err := st2.DB().CheckZones(); err != nil {
+		return fail("recovered zone maps", err)
 	}
 	if err := w.resume(st2); err != nil {
-		return nil, errors.Join(
-			fmt.Errorf("crashtest: resume after crash at op %d: %w", k, err), st2.Close())
+		return fail("resume", err)
 	}
 	if res.Recovered, err = w.verifyDrops(st2); err != nil {
-		return nil, errors.Join(
-			fmt.Errorf("crashtest: crash at op %d: %w", k, err), st2.Close())
+		return fail("verify", err)
 	}
+	if err := st2.DB().CheckZones(); err != nil {
+		return fail("resumed zone maps", err)
+	}
+	pruned, err := st2.SearchMode(feature.Drop, w.T, w.V, sqlmini.PlanForceScan)
+	if err != nil {
+		return fail("pruned scan", err)
+	}
+	res.ZoneSkipped = st2.DB().ZoneSkippedPages()
 	if err := st2.Close(); err != nil {
 		return nil, fmt.Errorf("crashtest: recovered close after crash at op %d: %w", k, err)
 	}
@@ -274,7 +278,65 @@ func (w *Workload) CrashAt(dir string, k int64) (*CrashResult, error) {
 		return nil, fmt.Errorf("crashtest: recovery after crash at op %d leaked %d file handles", k, n)
 	}
 	res.Disk = baseNames(boot.Snapshot())
+	if err := w.verifyUnpruned(dir, boot, pruned); err != nil {
+		return nil, fmt.Errorf("crashtest: crash at op %d: %w", k, err)
+	}
 	return res, nil
+}
+
+// crashAndRecover runs the workload in dir up to the power cut at
+// write-class operation k (recording the injected error in res) and
+// reopens the store from the durable image on a fresh registry.
+func (w *Workload) crashAndRecover(dir string, k int64, res *CrashResult) (*core.Store, *faultfs.Registry, error) {
+	reg := faultfs.New(w.Seed)
+	st, err := core.Open(dir, w.options(reg))
+	if err != nil {
+		return nil, nil, fmt.Errorf("crashtest: setup open: %w", err)
+	}
+	reg.SetScript(ScriptFor(k))
+
+	res.CrashErr = w.runToCrash(st)
+	if res.CrashErr == nil {
+		return nil, nil, fmt.Errorf("crashtest: ingest survived scripted crash at op %d", k)
+	}
+	if !errors.Is(res.CrashErr, faultfs.ErrInjected) {
+		return nil, nil, fmt.Errorf("crashtest: non-injected failure at op %d: %w", k, res.CrashErr)
+	}
+	if !reg.Crashed() {
+		return nil, nil, fmt.Errorf("crashtest: op %d errored without power cut: %v", k, res.CrashErr)
+	}
+	// The process is dead: its store object and file handles are simply
+	// abandoned, and recovery starts from the durable bytes alone.
+	boot := faultfs.NewFromSnapshot(w.Seed, reg.Snapshot())
+	st2, err := core.Open(dir, w.options(boot))
+	if err != nil {
+		return nil, nil, fmt.Errorf("crashtest: recovery open after crash at op %d: %w", k, err)
+	}
+	return st2, boot, nil
+}
+
+// verifyUnpruned reopens a copy of disk's durable image with zone maps
+// disabled and checks that the forced-scan drop search returns exactly
+// pruned, the result the same image gave with pruning on.
+func (w *Workload) verifyUnpruned(dir string, disk *faultfs.Registry, pruned []core.Match) error {
+	reg := faultfs.NewFromSnapshot(w.Seed, disk.Snapshot())
+	opts := w.options(reg)
+	opts.DB.DisableZoneMaps = true
+	st, err := core.Open(dir, opts)
+	if err != nil {
+		return err
+	}
+	plain, err := st.SearchMode(feature.Drop, w.T, w.V, sqlmini.PlanForceScan)
+	if err := errors.Join(err, st.Close()); err != nil {
+		return err
+	}
+	if n := reg.OpenHandles(); n != 0 {
+		return fmt.Errorf("unpruned reopen leaked %d file handles", n)
+	}
+	if !slices.Equal(pruned, plain) {
+		return fmt.Errorf("ZONE MAP DIVERGENCE: pruned scan found %d matches %v, unpruned %d %v", len(pruned), pruned, len(plain), plain)
+	}
+	return nil
 }
 
 // runToCrash drives the full workload expecting the scripted fault to

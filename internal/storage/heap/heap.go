@@ -51,26 +51,27 @@ type Heap struct {
 }
 
 // Open returns a heap over pg. The live record count is recovered by a
-// scan of the slot directories (cheap: headers only, but pages are pulled
-// through the cache).
-func Open(pg *pager.Pager) (*Heap, error) {
+// scan of the slot directories (pages are pulled through the cache).
+func Open(pg *pager.Pager) (*Heap, error) { return OpenVisit(pg, nil) }
+
+// OpenVisit is Open with a hook on that same page pass: a non-nil visit is
+// called for every live record in page/slot order, so the layer above can
+// derive per-page state (the engine's zone maps) without a second read of
+// the file. The record slice is only valid during the call.
+func OpenVisit(pg *pager.Pager, visit func(RID, []byte) error) (*Heap, error) {
 	h := &Heap{pg: pg}
 	if pg.NumPages() > 0 {
 		h.last = pg.NumPages() - 1
 	}
-	for id := pager.PageID(0); id < pg.NumPages(); id++ {
-		p, err := pg.Get(id)
-		if err != nil {
-			return nil, err
+	err := h.Scan(func(rid RID, rec []byte) (bool, error) {
+		h.n++
+		if visit == nil {
+			return true, nil
 		}
-		nSlots := binary.LittleEndian.Uint16(p.Data()[0:2])
-		for s := uint16(0); s < nSlots; s++ {
-			off := binary.LittleEndian.Uint16(p.Data()[headerSize+int(s)*slotSize:])
-			if off != deadOffset {
-				h.n++
-			}
-		}
-		p.Release()
+		return true, visit(rid, rec)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return h, nil
 }

@@ -26,3 +26,32 @@ func (p *Pager) cachedCountForTest() int {
 
 // numShardsForTest returns the stripe count.
 func (p *Pager) numShardsForTest() int { return len(p.shards) }
+
+// unloggedDriftForTest compares each shard's unlogged set with the frame
+// flags it must mirror (dirty && !logged) and returns a page on which the
+// two disagree.
+func (p *Pager) unloggedDriftForTest() (PageID, bool) {
+	p.lockAll()
+	defer p.unlockAll()
+	for i := range p.shards {
+		if id, drift := unloggedDrift(&p.shards[i]); drift {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// locks: s.mu (any)
+func unloggedDrift(s *shard) (PageID, bool) {
+	for id, fr := range s.frames {
+		if _, listed := s.unlogged[id]; listed != (fr.dirty && !fr.logged) {
+			return id, true
+		}
+	}
+	for id, fr := range s.unlogged {
+		if s.frames[id] != fr {
+			return id, true
+		}
+	}
+	return 0, false
+}

@@ -95,9 +95,9 @@ type frame struct {
 	pins       atomic.Int32
 	used       atomic.Bool // referenced since the clock hand last passed
 	prefetched atomic.Bool // loaded by readahead and not yet served to a Get
-	dirty      bool // buffer differs from the file; writer-owned, see shard doc
-	logged     bool // dirty content captured by the WAL; under no-steal, eviction may write only logged frames
-	ringIdx    int  // position in shard.ring; maintained under the shard latch
+	dirty      bool        // buffer differs from the file; writer-owned, see shard doc
+	logged     bool        // dirty content captured by the WAL; under no-steal, eviction may write only logged frames
+	ringIdx    int         // position in shard.ring; maintained under the shard latch
 }
 
 // inflightRead is one registered in-progress file read (demand miss or
@@ -120,6 +120,7 @@ type shard struct {
 	ring     []*frame                 // guarded by mu; clock order; eviction candidates
 	hand     int                      // guarded by mu; clock hand index into ring
 	inflight map[PageID]*inflightRead // guarded by mu; reads in progress
+	unlogged map[PageID]*frame        // guarded by mu; exactly the frames with dirty && !logged, so LogDirty need not walk the pool
 	stats    statCounters             // sync/atomic access only (atomicmix-enforced); incremented under mu (shared or exclusive)
 	_        [64]byte                 // keep neighbouring shards off this cache line
 }
@@ -197,6 +198,8 @@ func New(f File, capacity int) (*Pager, error) {
 		p.shards[i].frames = make(map[PageID]*frame)
 		//segdifflint:ignore lockcheck the pager is still being constructed inside New and not yet shared
 		p.shards[i].inflight = make(map[PageID]*inflightRead)
+		//segdifflint:ignore lockcheck the pager is still being constructed inside New and not yet shared
+		p.shards[i].unlogged = make(map[PageID]*frame)
 	}
 	p.nPages.Store(uint32(size / PageSize))
 	return p, nil
@@ -276,8 +279,15 @@ func (pg *Page) Data() []byte { return pg.fr.data }
 // called while the caller holds the engine-level writer lock: readers never
 // observe dirty-flag changes concurrently.
 func (pg *Page) MarkDirty() {
-	pg.fr.dirty = true
-	pg.fr.logged = false
+	fr := pg.fr
+	if fr.dirty && !fr.logged {
+		return // already queued for LogDirty
+	}
+	fr.dirty, fr.logged = true, false
+	s := pg.p.shardOf(fr.id)
+	s.mu.Lock()
+	s.unlogged[fr.id] = fr
+	s.mu.Unlock()
 }
 
 // Release unpins the page. The handle must not be used afterwards.
@@ -364,6 +374,7 @@ func (p *Pager) Allocate() (Page, error) {
 		fr := &frame{id: PageID(id), data: make([]byte, PageSize), dirty: true}
 		fr.pins.Store(1)
 		p.insertFrame(s, fr)
+		s.unlogged[fr.id] = fr
 		s.mu.Unlock()
 		return Page{p: p, fr: fr}, nil
 	}
@@ -553,18 +564,42 @@ func (p *Pager) sortedFramesLocked(keep func(*frame) bool) []*frame {
 	return out
 }
 
+// unloggedFrames appends s's dirty-unlogged frames to out.
+//
+// locks: s.mu (any)
+func unloggedFrames(s *shard, out []*frame) []*frame {
+	for _, fr := range s.unlogged {
+		out = append(out, fr)
+	}
+	return out
+}
+
+// markLogged records that the WAL captured fr's content.
+//
+// locks: s.mu
+func markLogged(s *shard, fr *frame) {
+	fr.logged = true
+	delete(s.unlogged, fr.id)
+}
+
 // LogDirty invokes fn for every dirty frame whose content has not yet been
 // logged, in ascending page order, and marks those frames logged (making
 // them evictable again under no-steal). The data slice passed to fn is
-// only valid during the call.
+// only valid during the call. Its cost follows the number of such frames,
+// not the pool size: a commit touches a handful of pages per file.
 func (p *Pager) LogDirty(fn func(id PageID, data []byte) error) error {
 	p.lockAll()
 	defer p.unlockAll()
-	for _, fr := range p.sortedFramesLocked(func(fr *frame) bool { return fr.dirty && !fr.logged }) {
+	var frs []*frame
+	for i := range p.shards {
+		frs = unloggedFrames(&p.shards[i], frs)
+	}
+	sort.Slice(frs, func(i, j int) bool { return frs[i].id < frs[j].id })
+	for _, fr := range frs {
 		if err := fn(fr.id, fr.data); err != nil {
 			return err
 		}
-		fr.logged = true
+		markLogged(p.shardOf(fr.id), fr)
 	}
 	return nil
 }
@@ -579,6 +614,7 @@ func (p *Pager) writeFrame(s *shard, fr *frame) error {
 		return fmt.Errorf("pager: write page %d: %w", fr.id, err)
 	}
 	fr.dirty = false
+	delete(s.unlogged, fr.id)
 	atomic.AddUint64(&s.stats.writes.v, 1)
 	return nil
 }
@@ -696,6 +732,7 @@ func discardShard(s *shard) int64 {
 		}
 	}
 	s.frames = make(map[PageID]*frame)
+	s.unlogged = make(map[PageID]*frame)
 	s.ring = s.ring[:0]
 	s.hand = 0
 	return n

@@ -32,21 +32,16 @@ type indexSchema struct {
 	FileID uint16   `json:"file_id"`
 }
 
-// catalog is the schema registry, persisted as JSON in on-disk databases.
-// Stats carries the planner statistics (see stats.go): maintained
-// incrementally by the write path under the engine's writer lock and
-// persisted alongside the schema at batch commit. Advisory only — a stale
-// or missing entry degrades plan quality, never correctness.
+// catalog is the schema registry, persisted as JSON in on-disk databases
+// by DDL, checkpoint and Close — never by a commit, whose cost must not
+// grow with the store. Stats (stats.go) is advisory: a stale or missing
+// entry degrades plan quality, never correctness. Zone maps, which pruning
+// relies on, live elsewhere (zones.go); an old file's "zones" key is ignored.
 type catalog struct {
 	Tables     map[string]*tableSchema `json:"tables"`
 	Indexes    map[string]*indexSchema `json:"indexes"`
 	NextFileID uint16                  `json:"next_file_id"`
 	Stats      map[string]*tableStats  `json:"stats,omitempty"`
-	// Zones are the per-heap-page min/max summaries (zones.go), maintained
-	// and persisted like Stats. Advisory for cost, one-sided for
-	// correctness: a summary may over-approximate a page's contents but
-	// never under-approximate it — pruning relies on that.
-	Zones map[string]*tableZones `json:"zones,omitempty"`
 }
 
 func newCatalog() *catalog {
@@ -75,26 +70,39 @@ func (c *catalog) indexesOn(table string) []*indexSchema {
 
 const catalogFile = "catalog.json"
 
-// saveCatalog atomically writes the catalog JSON into dir.
-func saveCatalog(dir string, c *catalog) error {
-	data, err := json.MarshalIndent(c, "", "  ")
+// saveCatalog atomically (write + rename) replaces the catalog file (a
+// no-op in memory mode); statistics stay marked dirty unless it succeeds.
+//
+// locks: db.mu
+func (db *DB) saveCatalog() error {
+	if db.dir == "" {
+		return nil
+	}
+	data, err := json.Marshal(db.catalog)
 	if err != nil {
 		return fmt.Errorf("sqlmini: marshal catalog: %w", err)
 	}
-	tmp := filepath.Join(dir, catalogFile+".tmp")
+	tmp := filepath.Join(db.dir, catalogFile+".tmp")
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, catalogFile)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(db.dir, catalogFile)); err != nil {
 		return err
 	}
+	db.statsDirty = false
+	db.catalogSaves.Add(1)
+	db.catalogBytes.Add(uint64(len(data)))
 	return nil
 }
 
 // loadCatalog reads the catalog JSON from dir; a missing file yields an
-// empty catalog.
+// empty catalog. The temporary file of an interrupted save is removed.
 func loadCatalog(dir string) (*catalog, error) {
-	data, err := os.ReadFile(filepath.Join(dir, catalogFile))
+	if err := os.Remove(filepath.Join(dir, catalogFile+".tmp")); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	path := filepath.Join(dir, catalogFile)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return newCatalog(), nil
 	}
@@ -103,7 +111,7 @@ func loadCatalog(dir string) (*catalog, error) {
 	}
 	c := newCatalog()
 	if err := json.Unmarshal(data, c); err != nil {
-		return nil, fmt.Errorf("sqlmini: corrupt catalog: %w", err)
+		return nil, fmt.Errorf("sqlmini: corrupt catalog %s: %w", path, err)
 	}
 	return c, nil
 }

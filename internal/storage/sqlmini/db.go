@@ -96,9 +96,10 @@ func (o Options) normalize() Options {
 }
 
 type tableHandle struct {
-	pg   *pager.Pager
-	h    *heap.Heap
-	path string
+	pg    *pager.Pager
+	h     *heap.Heap
+	zones *tableZones // derived from the heap at mount; see zones.go
+	path  string
 }
 
 type indexHandle struct {
@@ -127,13 +128,17 @@ type DB struct {
 	log     *wal.Log                // nil in memory mode; set once at open
 	inBatch bool                    // guarded by mu
 	closed  bool                    // guarded by mu
-	// statsDirty marks planner statistics (catalog.Stats) and zone maps
-	// (catalog.Zones) changed since the last catalog save; the next commit
-	// persists them.
+	// statsDirty marks planner statistics (catalog.Stats) changed since the
+	// last successful catalog save; the next checkpoint or Close saves them.
 	statsDirty bool // guarded by mu
+	// committedStats copies catalog.Stats at each commit, for AbortBatch.
+	committedStats map[string]*tableStats // guarded by mu
 	// zoneSkipped counts heap pages skipped by zone-map pruning; atomic
-	// because queries increment it under the shared lock.
-	zoneSkipped atomic.Uint64
+	// because queries increment it under the shared lock. The other two
+	// count catalog.json rewrites for registry snapshots.
+	zoneSkipped  atomic.Uint64
+	catalogSaves atomic.Uint64
+	catalogBytes atomic.Uint64
 
 	// Observability. reg, slow, and met are created once at open (before
 	// the DB is shared) and immutable afterwards; reg is nil when
@@ -193,6 +198,8 @@ func (db *DB) initObs() {
 		put("pager.prefetch_hits", cs.PrefetchHits)
 		put("pager.prefetch_wasted", cs.PrefetchWasted)
 		put("zone.skipped_pages", db.zoneSkipped.Load())
+		put("catalog.saves", db.catalogSaves.Load())
+		put("catalog.bytes_written", db.catalogBytes.Load())
 	})
 }
 
@@ -244,6 +251,8 @@ func Open(dir string, opts Options) (*DB, error) {
 		tables:  map[string]*tableHandle{},
 		indexes: map[string]*indexHandle{},
 		files:   map[uint16]pager.File{},
+		// Until the first commit, "committed" is what the catalog held.
+		committedStats: cloneStats(cat.Stats),
 	}
 	db.initObs()
 
@@ -413,6 +422,28 @@ func (db *DB) newPager(f pager.File) (*pager.Pager, error) {
 	return pg, nil
 }
 
+// openHeap opens th's heap and derives its zone maps from the live rows on
+// the same page pass, so every mounted table — after a clean open, a crash
+// recovery or a batch abort alike — has summaries that cover it exactly.
+//
+// locks: db.mu
+func (db *DB) openHeap(t *tableSchema, th *tableHandle) error {
+	zones := newTableZones(t)
+	vals := make([]Value, len(t.Cols))
+	h, err := heap.OpenVisit(th.pg, func(rid heap.RID, rec []byte) error {
+		if _, err := decodeRowInto(t, rec, vals); err != nil {
+			return err
+		}
+		zones.note(rid.Page, vals)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	th.h, th.zones = h, zones
+	return nil
+}
+
 // mountTable opens a table's file, pager and heap and registers the
 // handle. Open calls it before the DB is published; afterwards only DDL
 // under the exclusive lock does.
@@ -431,11 +462,11 @@ func (db *DB) mountTable(t *tableSchema) error {
 	if err != nil {
 		return err
 	}
-	h, err := heap.Open(pg)
-	if err != nil {
+	th := &tableHandle{pg: pg, path: path}
+	if err := db.openHeap(t, th); err != nil {
 		return err
 	}
-	db.tables[t.Name] = &tableHandle{pg: pg, h: h, path: path}
+	db.tables[t.Name] = th
 	db.files[t.FileID] = f
 	//segdifflint:ignore lockcheck obsRegisterPager takes obsMu, not the held db.mu; the order is always mu before obsMu
 	db.obsRegisterPager(pg)
@@ -598,16 +629,6 @@ func (db *DB) createIndex(s createIndexStmt) error {
 		packRID(ridBytes[:], rid)
 		return true, ih.tree.Insert(key, ridBytes[:])
 	})
-}
-
-// saveCatalog persists the catalog to disk (a no-op in memory mode).
-//
-// locks: db.mu
-func (db *DB) saveCatalog() error {
-	if db.dir == "" {
-		return nil
-	}
-	return saveCatalog(db.dir, db.catalog)
 }
 
 // Query parses and executes a SELECT or EXPLAIN with automatic plan
@@ -928,16 +949,16 @@ func (db *DB) AbortBatch() error {
 	}); err != nil {
 		return fmt.Errorf("sqlmini: abort: %w", err)
 	}
+	// Statistics go back to the last commit; the remount derives zone maps.
+	db.catalog.Stats = cloneStats(db.committedStats)
 	for _, name := range db.sortedTableNames() {
 		th := db.tables[name]
 		if err := th.pg.Discard(); err != nil {
 			return err
 		}
-		h, err := heap.Open(th.pg)
-		if err != nil {
+		if err := db.openHeap(db.catalog.Tables[name], th); err != nil {
 			return err
 		}
-		th.h = h
 	}
 	for _, name := range db.sortedIndexNames() {
 		ih := db.indexes[name]
@@ -950,16 +971,6 @@ func (db *DB) AbortBatch() error {
 		}
 		ih.tree = tr
 	}
-	// Planner statistics and zone maps for the aborted rows were folded in
-	// eagerly; restore the last persisted snapshot so estimates match the
-	// data and page summaries never under-approximate the replayed pages.
-	cat, err := loadCatalog(db.dir)
-	if err != nil {
-		return err
-	}
-	db.catalog.Stats = cat.Stats
-	db.catalog.Zones = cat.Zones
-	db.statsDirty = false
 	return nil
 }
 
@@ -976,19 +987,11 @@ func (db *DB) maybeCommit() error {
 // commitLocked stages dirty page after-images in the WAL and group-commits
 // them: the staging layer keeps only the last image per page, and Commit
 // writes the whole batch with a single flush and fsync. A commit with no
-// dirty pages is skipped entirely — no marker, no fsync.
+// dirty pages is skipped entirely — no marker, no fsync. The WAL is the
+// only file a commit writes, so its cost follows the batch, not the store.
 //
 // locks: db.mu
 func (db *DB) commitLocked() error {
-	// Persist planner statistics alongside the commit. The catalog write
-	// is atomic (write + rename) and advisory: statistics that are ahead
-	// of or behind the replayed data after a crash only skew estimates.
-	if db.statsDirty {
-		db.statsDirty = false
-		if err := db.saveCatalog(); err != nil {
-			return err
-		}
-	}
 	if db.log == nil {
 		return nil
 	}
@@ -1013,6 +1016,7 @@ func (db *DB) commitLocked() error {
 	if err := db.log.Commit(); err != nil {
 		return err
 	}
+	db.committedStats = cloneStats(db.catalog.Stats)
 	sz, err := db.log.Size()
 	if err != nil {
 		return err
@@ -1030,8 +1034,9 @@ func (db *DB) Checkpoint() error {
 	return db.checkpointLocked()
 }
 
-// checkpointLocked syncs every data file and truncates the WAL. Open also
-// calls it once before the DB is published.
+// checkpointLocked syncs every data file, truncates the WAL and saves the
+// catalog if statistics changed since the last save. Open also calls it
+// once before the DB is published.
 //
 // locks: db.mu
 func (db *DB) checkpointLocked() error {
@@ -1046,7 +1051,12 @@ func (db *DB) checkpointLocked() error {
 		}
 	}
 	if db.log != nil {
-		return db.log.Truncate()
+		if err := db.log.Truncate(); err != nil {
+			return err
+		}
+	}
+	if db.statsDirty {
+		return db.saveCatalog()
 	}
 	return nil
 }

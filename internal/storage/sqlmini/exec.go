@@ -472,7 +472,6 @@ func (db *DB) insertRow(schema *tableSchema, vals []Value) error {
 		return err
 	}
 	th := db.tables[schema.Name]
-	fresh := th.h.Len() == 0 // no live rows: zone tracking may start here
 	rid, err := th.h.Insert(rec)
 	if err != nil {
 		return err
@@ -490,21 +489,21 @@ func (db *DB) insertRow(schema *tableSchema, vals []Value) error {
 	}
 	oneRow := [1][]Value{vals}
 	oneRID := [1]heap.RID{rid}
-	db.noteInserted(schema, oneRow[:], oneRID[:], fresh)
+	db.noteInserted(schema, oneRow[:], oneRID[:])
 	return nil
 }
 
 // noteInserted folds freshly written rows into the planner statistics and
-// zone maps and marks them for persistence at the next commit. rids are
-// the rows' heap locations; fresh reports whether the table held no live
-// rows before the insert (which is when zone tracking may begin — see
-// catalog.noteZones).
+// the table's zone maps. rids are the rows' heap locations.
 //
 // locks: db.mu
-func (db *DB) noteInserted(schema *tableSchema, rows [][]Value, rids []heap.RID, fresh bool) {
+func (db *DB) noteInserted(schema *tableSchema, rows [][]Value, rids []heap.RID) {
 	db.catalog.noteInsert(schema, rows)
-	db.catalog.noteZones(schema, rows, rids, fresh)
 	db.statsDirty = true
+	zones := db.tables[schema.Name].zones
+	for i, vals := range rows {
+		zones.note(rids[i].Page, vals)
+	}
 }
 
 // insertRows writes many typed rows at once: one heap batch under a single
@@ -529,15 +528,13 @@ func (db *DB) insertRows(schema *tableSchema, rows [][]Value) error {
 		recs[i] = rec
 	}
 	th := db.tables[schema.Name]
-	fresh := th.h.Len() == 0 // no live rows: zone tracking may start here
 	rids, err := th.h.InsertBatch(recs)
 	if err != nil {
 		return err
 	}
 	// The rows are in the heap; account for them now. If an index apply
-	// below fails, the caller aborts the batch, which restores the
-	// statistics and zone maps from the last persisted catalog.
-	db.noteInserted(schema, rows, rids, fresh)
+	// below fails, the caller's AbortBatch rolls both back.
+	db.noteInserted(schema, rows, rids)
 	idxs := db.catalog.indexesOn(schema.Name)
 	if len(idxs) == 0 {
 		return nil
@@ -647,10 +644,6 @@ func (db *DB) execDelete(st deleteStmt, args []Value, mode PlanMode) (int, error
 				return 0, fmt.Errorf("sqlmini: index %s: %w", ix.Name, err)
 			}
 		}
-	}
-	if len(victims) > 0 {
-		db.catalog.noteDelete(schema.Name, len(victims))
-		db.statsDirty = true
 	}
 	return len(victims), nil
 }

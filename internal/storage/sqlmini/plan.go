@@ -133,7 +133,7 @@ func buildPlan(db *DB, schema *tableSchema, where expr, args []Value, mode PlanM
 		return nil, err
 	}
 	plan.ranges = ranges
-	plan.zonemap = !db.opts.DisableZoneMaps && len(ranges) > 0 && c.Zones[schema.Name] != nil
+	plan.zonemap = !db.opts.DisableZoneMaps && len(ranges) > 0
 	plan.readahead = db.opts.ReadAhead
 	// outSel: product of per-column histogram selectivities over every
 	// estimable conjunct (independence assumed).

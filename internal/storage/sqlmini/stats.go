@@ -2,19 +2,20 @@ package sqlmini
 
 import "math"
 
-// Planner statistics. Each table carries a row count and, per numeric
-// column, min/max bounds plus a shallow equi-width histogram. Statistics
-// are maintained incrementally on the write path (every insert updates
-// them in memory; batch commit persists them with the catalog) and feed
-// the cost model that chooses between a sequential scan and an index
+// Planner statistics. Each table carries, per numeric column, min/max
+// bounds plus a shallow equi-width histogram (the row count is the heap's
+// own live count). They are maintained incrementally on the write path and
+// feed the cost model that chooses between a sequential scan and an index
 // range scan per query — the crossover of the paper's Figures 17–24,
 // derived from data instead of a hardcoded heuristic.
 //
-// The numbers are advisory: deletes only decrement the row count (bounds
-// and histograms over-approximate until the next full rebuild), and a
-// crash can leave persisted statistics slightly ahead of or behind the
-// replayed data. The planner tolerates both — a bad estimate costs
-// performance, never correctness.
+// They are saved with the catalog at checkpoint and Close only, never on
+// the commit path; AbortBatch rolls them back to the in-memory copy taken
+// at the last commit (DB.committedStats), not from disk. The numbers are
+// advisory: deletes leave them alone (bounds and histograms
+// over-approximate), and after a crash the saved copy trails the replayed
+// data by up to one checkpoint interval. The planner tolerates that — a
+// bad estimate costs performance, never correctness.
 
 // histBuckets is the histogram resolution. 32 buckets distinguish the
 // selective dt ≤ T prefix ranges of the search workload from unselective
@@ -187,8 +188,25 @@ func (cs *colStats) add(v float64) {
 
 // tableStats aggregates the statistics of one table.
 type tableStats struct {
-	Rows int64                `json:"rows"`
 	Cols map[string]*colStats `json:"cols,omitempty"`
+}
+
+// cloneStats deep-copies every table's statistics.
+func cloneStats(stats map[string]*tableStats) map[string]*tableStats {
+	out := make(map[string]*tableStats, len(stats))
+	for table, ts := range stats {
+		c := &tableStats{Cols: make(map[string]*colStats, len(ts.Cols))}
+		for name, cs := range ts.Cols {
+			col := *cs
+			if cs.Hist != nil {
+				h := *cs.Hist
+				col.Hist = &h
+			}
+			c.Cols[name] = &col
+		}
+		out[table] = c
+	}
+	return out
 }
 
 // statsFor returns (creating if needed) the statistics entry for a table.
@@ -208,16 +226,9 @@ func (c *catalog) statsFor(table string) *tableStats {
 // Callers hold the engine's writer lock (the catalog is guarded by it).
 func (c *catalog) noteInsert(schema *tableSchema, rows [][]Value) {
 	ts := c.statsFor(schema.Name)
-	ts.Rows += int64(len(rows))
 	for _, vals := range rows {
 		for i, col := range schema.Cols {
-			var v float64
-			switch col.Type {
-			case IntType:
-				v = float64(vals[i].I)
-			case RealType:
-				v = vals[i].R
-			default:
+			if col.Type == TextType {
 				continue // TEXT columns carry no numeric statistics
 			}
 			cs := ts.Cols[col.Name]
@@ -225,18 +236,9 @@ func (c *catalog) noteInsert(schema *tableSchema, rows [][]Value) {
 				cs = &colStats{}
 				ts.Cols[col.Name] = cs
 			}
+			v, _ := vals[i].AsReal()
 			cs.add(v)
 		}
-	}
-}
-
-// noteDelete decrements the row count. Bounds and histograms are left as
-// over-approximations (see the package comment above).
-func (c *catalog) noteDelete(table string, n int) {
-	ts := c.statsFor(table)
-	ts.Rows -= int64(n)
-	if ts.Rows < 0 {
-		ts.Rows = 0
 	}
 }
 

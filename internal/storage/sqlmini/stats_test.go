@@ -87,8 +87,8 @@ func TestStatsMaintenance(t *testing.T) {
 			Int(int64(i)), Real(float64(i)/2), Text("x"))
 	}
 	ts := db.catalog.Stats["t"]
-	if ts == nil || ts.Rows != 50 {
-		t.Fatalf("stats rows = %+v, want 50", ts)
+	if ts == nil {
+		t.Fatal("no statistics for t")
 	}
 	if cs := ts.Cols["a"]; cs == nil || cs.Min != 0 || cs.Max != 49 {
 		t.Errorf("col a stats = %+v, want min 0 max 49", cs)
@@ -96,11 +96,12 @@ func TestStatsMaintenance(t *testing.T) {
 	if cs := ts.Cols["s"]; cs != nil {
 		t.Errorf("TEXT column carries numeric statistics: %+v", cs)
 	}
+	// The row count the planner uses is the heap's, so deletes show at once.
 	if _, err := db.Exec("DELETE FROM t WHERE a < ?", Int(10)); err != nil {
 		t.Fatal(err)
 	}
-	if ts.Rows != 40 {
-		t.Errorf("rows after delete = %d, want 40", ts.Rows)
+	if plan := mustQuery(t, db, "EXPLAIN SELECT * FROM t").Data[0][0].S; !strings.Contains(plan, "rows~40 ") {
+		t.Errorf("plan after delete = %q, want 40 estimated rows", plan)
 	}
 }
 

@@ -1,64 +1,63 @@
 package sqlmini
 
 import (
+	"fmt"
 	"math"
 
 	"segdiff/internal/storage/heap"
 	"segdiff/internal/storage/pager"
 )
 
-// Zone maps: per-heap-page min/max summaries of the numeric columns,
-// maintained at insert time alongside the planner statistics and
-// persisted with the catalog. The sequential and fused-sequential
-// executors consult them to skip whole pages whose value ranges cannot
-// intersect a query's column ranges — the paper's "SegDiff reads fewer
-// pages" argument applied inside our own engine.
+// Zone maps: per-heap-page min/max summaries of the numeric columns. The
+// sequential and fused-sequential executors consult them to skip whole
+// pages whose value ranges cannot intersect a query's column ranges — the
+// paper's "SegDiff reads fewer pages" argument applied inside our own
+// engine. A summary may only ever OVER-approximate the live rows on its
+// page: pruning may admit too much, never too little.
 //
-// Zone maps are advisory for correctness: a page summary may only ever
-// OVER-approximate the live rows on the page (pruning skips a page only
-// when no row can match; it may always admit too much, never too
-// little). The maintenance rules keep that one-sided guarantee cheap:
-//
-//   - Tracking starts only for tables that are empty at first insert. A
-//     database created before zone maps existed has rows no summary
-//     covers; its tables simply never get zone entries and stay
-//     unprunable (catalog.Zones is absent from its JSON).
-//   - Deletes leave summaries untouched: stale-wide bounds admit pages
-//     that no longer need visiting, which costs reads, not answers.
-//   - A crash can persist summaries for rows the WAL replay discards
-//     (the catalog is saved before the log commits) — again wider than
-//     the data, never narrower.
-//   - Pages without an entry (summaries shorter than the heap, or the
-//     unset sentinel Min > Max) are always admitted.
+// The summaries are never written anywhere; they are derived state of a
+// mounted table. Mount (Open, CREATE TABLE, and the remount AbortBatch
+// does) builds them from the heap's own pages, on the pass heap.OpenVisit
+// makes anyway, so after a crash they are computed from the recovered
+// pages and cover them exactly — no ordering against the WAL exists to get
+// wrong. Inserts fold each new row into its page's entry. Deletes leave
+// summaries stale-wide, which costs reads, not answers, until the next
+// mount. Pages without an entry (summaries shorter than the heap, or the
+// unset sentinel Min > Max) are always admitted.
 
 // colZones holds one column's per-page bounds, indexed by heap PageID.
 // A page with Min[p] > Max[p] is unset (no summarized rows) and is never
 // pruned; fresh slots start at the extreme sentinel values so plain
 // min/max folding initializes them.
 type colZones struct {
-	Min []float64 `json:"min"`
-	Max []float64 `json:"max"`
+	Min []float64
+	Max []float64
 }
 
-// ensure grows the per-page arrays to cover page, filling new slots with
-// the unset sentinel.
-func (cz *colZones) ensure(page pager.PageID) {
-	for int(page) >= len(cz.Min) {
-		cz.Min = append(cz.Min, math.MaxFloat64)
-		cz.Max = append(cz.Max, -math.MaxFloat64)
-	}
-}
-
-// tableZones holds the zone maps of one table's numeric columns.
+// tableZones holds the zone maps of one table's numeric columns: byName
+// for the read path's column ranges, byCol (schema order, nil for TEXT)
+// for the write path's row fold.
 type tableZones struct {
-	Cols map[string]*colZones `json:"cols"`
+	byName map[string]*colZones
+	byCol  []*colZones
+}
+
+func newTableZones(schema *tableSchema) *tableZones {
+	tz := &tableZones{byName: map[string]*colZones{}, byCol: make([]*colZones, len(schema.Cols))}
+	for i, col := range schema.Cols {
+		if col.Type == IntType || col.Type == RealType {
+			tz.byCol[i] = &colZones{}
+			tz.byName[col.Name] = tz.byCol[i]
+		}
+	}
+	return tz
 }
 
 // pageMayMatch reports whether a page could hold a row satisfying every
 // column range. Missing or unset summaries admit the page.
 func (tz *tableZones) pageMayMatch(page pager.PageID, ranges []colRange) bool {
 	for _, r := range ranges {
-		cz := tz.Cols[r.col]
+		cz := tz.byName[r.col]
 		if cz == nil || int(page) >= len(cz.Min) {
 			continue // no summary for this column/page: cannot prune
 		}
@@ -73,68 +72,25 @@ func (tz *tableZones) pageMayMatch(page pager.PageID, ranges []colRange) bool {
 	return true
 }
 
-// zonesFor returns (creating if needed) the zone entry for a table.
-func (c *catalog) zonesFor(table string) *tableZones {
-	if c.Zones == nil {
-		c.Zones = map[string]*tableZones{}
-	}
-	tz := c.Zones[table]
-	if tz == nil {
-		tz = &tableZones{Cols: map[string]*colZones{}}
-		c.Zones[table] = tz
-	}
-	return tz
-}
-
-// noteZones folds freshly inserted rows into the table's zone maps.
-// create controls whether a table without an entry starts tracking: it
-// must only be true when the table held no live rows before the insert
-// (otherwise the new summaries would be narrower than the page contents
-// and pruning would drop rows). Callers hold the engine's writer lock;
-// lockcheck cannot express that here (the guard is db.mu, not a field of
-// catalog), so the checked annotation lives on DB.catalog instead and
-// every path into this method goes through an annotated DB method.
-func (c *catalog) noteZones(schema *tableSchema, rows [][]Value, rids []heap.RID, create bool) {
-	if c.Zones[schema.Name] == nil && !create {
-		return // pre-existing rows are not summarized: stay unprunable
-	}
-	tz := c.zonesFor(schema.Name)
-	for ri, vals := range rows {
-		page := rids[ri].Page
-		for i, col := range schema.Cols {
-			var v float64
-			switch col.Type {
-			case IntType:
-				v = float64(vals[i].I)
-			case RealType:
-				v = vals[i].R
-			default:
-				continue // TEXT columns carry no zone maps
-			}
-			cz := tz.Cols[col.Name]
-			if cz == nil {
-				cz = &colZones{}
-				tz.Cols[col.Name] = cz
-			}
-			cz.ensure(page)
-			if v < cz.Min[page] {
-				cz.Min[page] = v
-			}
-			if v > cz.Max[page] {
-				cz.Max[page] = v
-			}
+// note folds one row stored on page into the summaries. Callers hold the
+// engine's writer lock (or are mounting the table, before it is shared).
+func (tz *tableZones) note(page pager.PageID, vals []Value) {
+	for i, cz := range tz.byCol {
+		if cz == nil {
+			continue // TEXT columns carry no zone maps
+		}
+		for int(page) >= len(cz.Min) { // new pages start unset
+			cz.Min = append(cz.Min, math.MaxFloat64)
+			cz.Max = append(cz.Max, -math.MaxFloat64)
+		}
+		v, _ := vals[i].AsReal()
+		if v < cz.Min[page] {
+			cz.Min[page] = v
+		}
+		if v > cz.Max[page] {
+			cz.Max[page] = v
 		}
 	}
-}
-
-// zoneMatcher returns the page-admission predicate implied by a table's
-// zone maps and a plan's column ranges, or nil when nothing can be
-// pruned (no zone entry, no estimable ranges).
-func zoneMatcher(tz *tableZones, ranges []colRange) func(pager.PageID) bool {
-	if tz == nil || len(ranges) == 0 {
-		return nil
-	}
-	return func(id pager.PageID) bool { return tz.pageMayMatch(id, ranges) }
 }
 
 // zoneKeep builds the page-keep callback for a sequential scan serving
@@ -154,11 +110,11 @@ func (db *DB) zoneKeep(plans ...*scanPlan) func(pager.PageID) bool {
 		if p.empty {
 			continue // statically empty branches admit no pages
 		}
-		m := zoneMatcher(db.catalog.Zones[p.schema.Name], p.ranges)
-		if m == nil {
+		if len(p.ranges) == 0 {
 			return nil // one unprunable branch forces a full scan
 		}
-		matchers = append(matchers, m)
+		tz, ranges := db.tables[p.schema.Name].zones, p.ranges
+		matchers = append(matchers, func(id pager.PageID) bool { return tz.pageMayMatch(id, ranges) })
 	}
 	if len(matchers) == 0 {
 		return nil
@@ -178,4 +134,35 @@ func (db *DB) zoneKeep(plans ...*scanPlan) func(pager.PageID) bool {
 // by zone-map pruning across all queries (monotonic; callers diff).
 func (db *DB) ZoneSkippedPages() uint64 {
 	return db.zoneSkipped.Load()
+}
+
+// CheckZones verifies the invariant pruning rests on, for every table:
+// each live row's numeric values lie within the summaries of the page
+// holding it. The crash harness runs it after every recovery.
+func (db *DB) CheckZones() error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for _, name := range db.sortedTableNames() {
+		schema, zones := db.catalog.Tables[name], db.tables[name].zones
+		if err := db.scanRows(&scanPlan{schema: schema}, nil, func(rid heap.RID, vals []Value) (bool, error) {
+			for i, cz := range zones.byCol {
+				v, _ := vals[i].AsReal()
+				if cz != nil && (int(rid.Page) >= len(cz.Min) || v < cz.Min[rid.Page] || v > cz.Max[rid.Page]) {
+					return false, fmt.Errorf("sqlmini: zone map of %s.%s does not cover row %v", name, schema.Cols[i].Name, rid)
+				}
+			}
+			return true, nil
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// SkipZoneRebuildForTest leaves table as a mount that skipped the zone-map
+// rebuild would: the seeded bug that shows the crash harness's verifier fires.
+func (db *DB) SkipZoneRebuildForTest(table string) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.tables[table].zones = newTableZones(db.catalog.Tables[table])
 }

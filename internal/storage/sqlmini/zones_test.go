@@ -1,9 +1,16 @@
 package sqlmini
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"segdiff/internal/storage/faultfs"
 )
 
 // zoneRows generates n feature-like rows whose dv1 grows monotonically,
@@ -164,24 +171,83 @@ func TestZoneExplain(t *testing.T) {
 	}
 }
 
-// TestZonePersistence checks zone maps survive a close/reopen through the
-// catalog, and keep pruning afterwards.
-func TestZonePersistence(t *testing.T) {
+// insertZoneRows creates table name with the zoneRows schema (and an index
+// on dv1 when indexed) and commits n rows into it.
+func insertZoneRows(t *testing.T, db *DB, name string, indexed bool, n int) *Stmt {
+	t.Helper()
+	mustExec(t, db, "CREATE TABLE "+name+" (dv1 REAL, dv2 REAL, dt INT, tag TEXT)")
+	if indexed {
+		mustExec(t, db, "CREATE INDEX "+name+"_dv1 ON "+name+" (dv1)")
+	}
+	st, err := db.Prepare("INSERT INTO " + name + " VALUES (?, ?, ?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ExecBatch(zoneRows(n)); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// checkZonesExact asserts, for every table, what a mounted table
+// guarantees: each summary covers its page's live rows, pruned forced
+// scans return exactly what unpruned ones do, and the planner's row
+// estimate equals the heap's live count.
+func checkZonesExact(t *testing.T, db *DB, label string) {
+	t.Helper()
+	if err := db.CheckZones(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	setPruning := func(off bool) {
+		db.mu.Lock()
+		db.opts.DisableZoneMaps = off
+		db.mu.Unlock()
+	}
+	for _, table := range db.Tables() {
+		live, err := db.RowCount(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range zoneQueries {
+			sql := strings.Replace(q.sql, "FROM f", "FROM "+table, 1)
+			pruned := mustQueryMode(t, db, PlanForceScan, sql, q.args...)
+			setPruning(true)
+			plain := mustQueryMode(t, db, PlanForceScan, sql, q.args...)
+			setPruning(false)
+			if !reflect.DeepEqual(pruned, plain) {
+				t.Fatalf("%s: %s: pruned %d rows, unpruned %d rows", label, sql, pruned.Len(), plain.Len())
+			}
+		}
+		plan := mustQuery(t, db, "EXPLAIN SELECT * FROM "+table).Data[0][0].S
+		if live > 0 && !strings.Contains(plan, fmt.Sprintf("rows~%d ", live)) {
+			t.Fatalf("%s: plan %q does not estimate the %d live rows", label, plan, live)
+		}
+	}
+}
+
+// TestZonesRebuiltAtMount checks that zone maps, which are never written
+// anywhere, are derived again from the heap at reopen: pruning works at
+// once, later inserts keep extending them, and summaries a delete left
+// stale-wide come back tight.
+func TestZonesRebuiltAtMount(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, db, "CREATE TABLE f (dv1 REAL, dv2 REAL, dt INT, tag TEXT)")
-	st, err := db.Prepare("INSERT INTO f VALUES (?, ?, ?, ?)")
+	insertZoneRows(t, db, "f", false, 3000)
+	// Hollow out the middle of the table: the summaries stay wide until
+	// the next mount.
+	mustExec(t, db, "DELETE FROM f WHERE dv1 >= 1000 AND dv1 < 2000")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, catalogFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ExecBatch(zoneRows(3000)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+	if strings.Contains(string(data), "zones") {
+		t.Fatal("catalog.json still carries zone maps")
 	}
 
 	db, err = Open(dir, Options{})
@@ -189,110 +255,182 @@ func TestZonePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	rows, err := db.QueryMode(PlanForceScan, "SELECT * FROM f WHERE dv1 < 30")
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkZonesExact(t, db, "after reopen")
+	rows := mustQueryMode(t, db, PlanForceScan, "SELECT * FROM f WHERE dv1 < 30")
 	if rows.Len() != 30 {
 		t.Fatalf("got %d rows, want 30", rows.Len())
 	}
 	if db.ZoneSkippedPages() == 0 {
-		t.Fatal("persisted zone maps did not prune after reopen")
+		t.Fatal("rebuilt zone maps did not prune after reopen")
+	}
+	// dv2 oscillates over [-48, 48] on every page, so before the reopen no
+	// page could be pruned on it; the emptied pages now can.
+	before := db.ZoneSkippedPages()
+	mustQueryMode(t, db, PlanForceScan, "SELECT * FROM f WHERE dv2 > 47 AND dv1 >= 0")
+	if db.ZoneSkippedPages() == before {
+		t.Fatal("pages emptied by DELETE were not tightened by the remount")
 	}
 	// Zones keep extending for new batches after reopen.
-	st2, err := db.Prepare("INSERT INTO f VALUES (?, ?, ?, ?)")
+	st, err := db.Prepare("INSERT INTO f VALUES (?, ?, ?, ?)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	extra := [][]Value{{Real(1e6), Real(0), Int(0), Text("x")}}
-	if _, err := st2.ExecBatch(extra); err != nil {
+	if _, err := st.ExecBatch([][]Value{{Real(1e6), Real(0), Int(0), Text("x")}}); err != nil {
 		t.Fatal(err)
 	}
-	rows, err = db.QueryMode(PlanForceScan, "SELECT * FROM f WHERE dv1 >= 1000000")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows = mustQueryMode(t, db, PlanForceScan, "SELECT * FROM f WHERE dv1 >= 1000000")
 	if rows.Len() != 1 {
 		t.Fatalf("got %d rows, want 1", rows.Len())
 	}
+	checkZonesExact(t, db, "after post-reopen insert")
 }
 
-// TestZoneAbortRestores checks AbortBatch rolls zone maps back to the
-// persisted snapshot, so summaries never cover discarded rows and later
-// queries stay exact.
-func TestZoneAbortRestores(t *testing.T) {
+// TestOldCatalogReopensFullyPrunable pins the upgrade path: a store whose
+// catalog.json was written before zone maps left it (indented, with a
+// "zones" key — here deliberately wrong, far too narrow) loads, ignores
+// the key, prunes from summaries derived at mount, and drops the key at
+// the next save.
+func TestOldCatalogReopensFullyPrunable(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	mustExec(t, db, "CREATE TABLE f (dv1 REAL, dv2 REAL, dt INT, tag TEXT)")
-	st, err := db.Prepare("INSERT INTO f VALUES (?, ?, ?, ?)")
+	insertZoneRows(t, db, "f", false, 3000)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, catalogFile)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ExecBatch(zoneRows(1000)); err != nil {
+	var old map[string]any
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatal(err)
+	}
+	old["zones"] = map[string]any{"f": map[string]any{"cols": map[string]any{
+		"dv1": map[string]any{"min": []float64{5, 5, 5}, "max": []float64{6, 6, 6}},
+	}}}
+	if data, err = json.MarshalIndent(old, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
+	db, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkZonesExact(t, db, "old catalog")
+	if db.ZoneSkippedPages() == 0 {
+		t.Fatal("store with an old catalog did not prune")
+	}
+	mustExec(t, db, "INSERT INTO f VALUES (7e5, 0, 0, 'new')")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "zones") {
+		t.Fatal("the save at Close kept the old zones key")
+	}
+}
+
+// TestAbortRestoresZonesAndStats drives the abort path the write pipeline
+// really takes — rows already in the heap and folded into statistics and
+// zone maps when an index apply fails — and checks AbortBatch puts both
+// back without reading catalog.json: summaries exact on every table, row
+// estimates equal to the live count, and the same again after a further
+// commit and a reopen.
+func TestAbortRestoresZonesAndStats(t *testing.T) {
+	dir := t.TempDir()
+	reg := faultfs.New(1)
+	opts := Options{FileFactory: reg.Open, PoolPages: 16, WriteWorkers: 1}
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stF := insertZoneRows(t, db, "f", true, 2000)
+	insertZoneRows(t, db, "g", false, 700)
+	checkZonesExact(t, db, "before abort")
+	saved := db.catalogSaves.Load()
+
+	// Cold cache: the batch reads the heap's tail page, then the index
+	// root — fail that second read.
+	if err := db.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	reg.SetScript(faultfs.Script{FailReadOp: reg.Reads() + 2})
 	db.BeginBatch()
-	if _, err := st.ExecBatch([][]Value{{Real(-5e6), Real(0), Int(0), Text("aborted")}}); err != nil {
+	doomed := [][]Value{{Real(-5e6), Real(9e6), Int(77), Text("aborted")}}
+	if _, err := stF.ExecBatch(doomed); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("index apply survived the scripted read fault: %v", err)
+	}
+	dv1 := func() *colStats {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		return db.catalog.Stats["f"].Cols["dv1"]
+	}
+	if dv1().Min != -5e6 {
+		t.Fatal("the fault fired before the row was folded into the statistics")
+	}
+	// catalog.json must play no part in the rollback.
+	if err := os.Remove(filepath.Join(dir, catalogFile)); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.AbortBatch(); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []PlanMode{PlanAuto, PlanForceScan} {
-		rows, err := db.QueryMode(mode, "SELECT * FROM f WHERE dv1 <= -1000000")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows.Len() != 0 {
-			t.Fatalf("aborted row visible under mode %v", mode)
-		}
+	if n := db.catalogSaves.Load(); n != saved {
+		t.Fatalf("abort path saved the catalog (%d -> %d)", saved, n)
 	}
-	// The surviving data still answers exactly after the rollback.
-	rows, err := db.QueryMode(PlanForceScan, "SELECT * FROM f WHERE dv1 < 25")
+	checkZonesExact(t, db, "after abort")
+	if rows := mustQuery(t, db, "SELECT * FROM f WHERE dv1 <= -1000000"); rows.Len() != 0 {
+		t.Fatal("aborted row visible")
+	}
+	if cs := dv1(); cs.Min != 0 || cs.Hist.Total != 2000 {
+		t.Fatalf("dv1 statistics kept the aborted row: %+v", cs)
+	}
+
+	if _, err := stF.ExecBatch([][]Value{{Real(5e5), Real(1), Int(1), Text("kept")}}); err != nil {
+		t.Fatal(err)
+	}
+	checkZonesExact(t, db, "after post-abort commit")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Len() != 25 {
-		t.Fatalf("got %d rows, want 25", rows.Len())
+	defer db.Close()
+	checkZonesExact(t, db, "after reopen")
+	if n, _ := db.RowCount("f"); n != 2001 {
+		t.Fatalf("f holds %d rows after reopen, want 2001", n)
 	}
 }
 
-// TestZonesNotCreatedForPreexistingRows pins the upgrade rule: a table
-// whose rows predate zone tracking (no catalog entry) must never grow
-// narrow summaries from later inserts, or pruning would drop the old
-// rows.
-func TestZonesNotCreatedForPreexistingRows(t *testing.T) {
+// TestCheckZonesFiresOnSkippedRebuild tests the tester: a table mounted
+// without the rebuild (empty summaries over a populated heap) fails
+// CheckZones, and once an insert lands on its tail page the narrow
+// summary makes pruning lose the older rows — the false negative the
+// check exists to catch.
+func TestCheckZonesFiresOnSkippedRebuild(t *testing.T) {
 	db := openZoneDB(t, Options{}, 500)
 	defer db.Close()
-	// Simulate a database upgraded from a pre-zone-map version: the
-	// catalog has data but no zone entries.
-	db.mu.Lock()
-	db.catalog.Zones = nil
-	db.mu.Unlock()
-	// New inserts on the non-fresh table must not start tracking.
-	if _, err := db.Exec("INSERT INTO f VALUES (9e5, 0, 0, 'new')"); err != nil {
+	if err := db.CheckZones(); err != nil {
 		t.Fatal(err)
 	}
-	db.mu.RLock()
-	_, tracked := db.catalog.Zones["f"]
-	db.mu.RUnlock()
-	if tracked {
-		t.Fatal("zone tracking started on a table with unsummarized rows")
+	db.SkipZoneRebuildForTest("f")
+	if err := db.CheckZones(); err == nil {
+		t.Fatal("CheckZones passed a table with no summaries over live rows")
 	}
-	// And scans stay full (correct) for the old rows.
-	rows, err := db.QueryMode(PlanForceScan, "SELECT * FROM f WHERE dv1 < 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows.Len() != 10 {
-		t.Fatalf("got %d rows, want 10", rows.Len())
-	}
-	if db.ZoneSkippedPages() != 0 {
-		t.Fatal("pruning ran without zone entries")
+	mustExec(t, db, "INSERT INTO f VALUES (9e5, 0, 0, 'new')")
+	rows := mustQueryMode(t, db, PlanForceScan, "SELECT * FROM f WHERE dv1 < 1000")
+	if rows.Len() == 500 {
+		t.Fatal("seeded bug did not lose rows; the test no longer seeds what it claims")
 	}
 }
