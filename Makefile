@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-json vet cover serve-smoke bench bench-quick bench-compare
+.PHONY: all build test race lint lint-json vet cover bench bench-quick bench-compare
 
 all: build vet lint test
 
@@ -24,11 +24,6 @@ vet:
 # plus the module-wide ratchet against scripts/coverage_baseline.txt.
 cover:
 	./scripts/covergate.sh
-
-# End-to-end serving gate CI runs: boot segdiffd, ingest and query over
-# HTTP, verify responses match direct Collection searches, drain.
-serve-smoke:
-	$(GO) run ./cmd/benchrunner -serve-smoke -days 5
 
 # Run the segdifflint analyzer suite over the whole module. Contributors
 # should run this before pushing; CI enforces a clean run.

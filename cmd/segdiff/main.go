@@ -264,8 +264,6 @@ func stats(args []string) (err error) {
 	fmt.Printf("disk bytes:     %d\n", s.DiskBytes())
 	fmt.Printf("cache:          %d hits, %d misses, %d reads, %d writes (this session)\n",
 		s.Cache.Hits, s.Cache.Misses, s.Cache.Reads, s.Cache.Writes)
-	fmt.Printf("prefetch:       %d reads, %d hits, %d wasted\n",
-		s.Cache.PrefetchReads, s.Cache.PrefetchHits, s.Cache.PrefetchWasted)
 	fmt.Printf("zone-skipped:   %d pages\n", s.ZoneSkippedPages)
 	if *verbose {
 		snap := st.Metrics()

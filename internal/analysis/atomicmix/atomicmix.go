@@ -2,7 +2,8 @@
 // atomic and plain access to the same memory.
 //
 // The engine's hot counters are split across two idioms: fields of the
-// sync/atomic value types (pager.frame.pins/used/prefetched, Pager.nFrames)
+// sync/atomic value types (the pager's per-frame pin counts and reference
+// bits, pager.frame.pins/used, and Pager.nFrames)
 // and plain integer fields that every accessor touches through the
 // sync/atomic functions (the cache-line-padded shard statistics,
 // padUint64.v). Both idioms are only race-free when they are total: one

@@ -4,13 +4,14 @@
 //
 // The engine's goroutines follow two shapes: bounded worker pools
 // (`wg.Add(1); go func() { defer wg.Done(); for i := range jobs {...} }()`
-// with a `close(jobs)` and `wg.Wait()` in the spawning function) and
-// long-lived background workers stopped through a dedicated channel
-// (`go p.prefetchWorker()` selecting on `<-p.pfStop`, closed by Close).
-// A goroutine outside these shapes leaks: it pins its stack and whatever
-// it captured — in the pager's case an open file — for the process
-// lifetime, and a send to it after its channels are abandoned blocks
-// forever.
+// with a `close(jobs)` and `wg.Wait()` in the spawning function — the
+// query engine's UNION fan-out and index-apply pool, the collection's
+// per-sensor fan-out) and serve loops that hand their result back on a
+// buffered channel the owner receives from at shutdown
+// (`go func() { s.served <- s.hsrv.Serve(ln) }()`). A goroutine outside
+// these shapes leaks: it pins its stack and whatever it captured — for a
+// scan worker, pinned pages of an open store — for the process lifetime,
+// and a send to it after its channels are abandoned blocks forever.
 //
 // For every `go` statement whose function body is resolvable (a literal,
 // or a declared function/method found through the module call graph) the

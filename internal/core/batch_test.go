@@ -56,22 +56,38 @@ func TestReopenExplicitDefaultsChecked(t *testing.T) {
 	st4.Close()
 }
 
-// The batched write path must be observationally identical to row-at-a-time
-// ingestion: same search results and byte-identical table files.
-func TestBatchedIngestMatchesRowAtATime(t *testing.T) {
+// Where the Syncs fall must not show in the store: the same series
+// committed every point, every 97 points, or once gives the same search
+// results and byte-identical heap files, because the heap receives rows
+// in emission order whatever the batch boundaries. Index files may
+// differ: each batch applies its rows as one sorted run, so the cadence
+// changes the B+tree split order.
+func TestIngestIdenticalAcrossSyncCadence(t *testing.T) {
 	series := randomSeries(91, 800)
-	dirRow, dirBatch := t.TempDir(), t.TempDir()
-
-	stRow, err := Open(dirRow, Options{Epsilon: 0.3, Window: 4000, RowAtATime: true})
-	if err != nil {
-		t.Fatal(err)
+	cadences := []int{1, 97, series.Len()}
+	dirs := make([]string, len(cadences))
+	stores := make([]*Store, len(cadences))
+	for c, every := range cadences {
+		dirs[c] = t.TempDir()
+		st, err := Open(dirs[c], Options{Epsilon: 0.3, Window: 4000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range series.Points() {
+			if err := st.Append(p); err != nil {
+				t.Fatal(err)
+			}
+			if (i+1)%every == 0 {
+				if err := st.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := st.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		stores[c] = st
 	}
-	ingest(t, stRow, series)
-	stBatch, err := Open(dirBatch, Options{Epsilon: 0.3, Window: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingest(t, stBatch, series)
 
 	for _, q := range []struct {
 		kind feature.Kind
@@ -82,44 +98,53 @@ func TestBatchedIngestMatchesRowAtATime(t *testing.T) {
 		{feature.Drop, 4000, -4},
 		{feature.Jump, 2000, 2},
 	} {
-		a, err := stRow.SearchMode(q.kind, q.T, q.V, sqlmini.PlanAuto)
+		want, err := stores[0].SearchMode(q.kind, q.T, q.V, sqlmini.PlanAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := stBatch.SearchMode(q.kind, q.T, q.V, sqlmini.PlanAuto)
-		if err != nil {
-			t.Fatal(err)
+		if len(want) == 0 {
+			t.Fatalf("%v T=%d V=%v: no matches to compare", q.kind, q.T, q.V)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("%v T=%d V=%v: %d vs %d matches", q.kind, q.T, q.V, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%v T=%d V=%v: match %d differs: %+v vs %+v", q.kind, q.T, q.V, i, a[i], b[i])
+		for c := 1; c < len(cadences); c++ {
+			got, err := stores[c].SearchMode(q.kind, q.T, q.V, sqlmini.PlanAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v T=%d V=%v: Sync every %d: %d matches, every point: %d",
+					q.kind, q.T, q.V, cadences[c], len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v T=%d V=%v: Sync every %d: match %d differs: %+v vs %+v",
+						q.kind, q.T, q.V, cadences[c], i, got[i], want[i])
+				}
 			}
 		}
 	}
-	if err := stRow.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := stBatch.Close(); err != nil {
-		t.Fatal(err)
+	for _, st := range stores {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	tables := []string{"t_segs.tbl",
 		"t_dropf1.tbl", "t_dropf2.tbl", "t_dropf3.tbl",
 		"t_jumpf1.tbl", "t_jumpf2.tbl", "t_jumpf3.tbl"}
 	for _, name := range tables {
-		a, err := os.ReadFile(filepath.Join(dirRow, name))
+		want, err := os.ReadFile(filepath.Join(dirs[0], name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(dirBatch, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("%s differs between write paths: %d vs %d bytes", name, len(a), len(b))
+		for c := 1; c < len(cadences); c++ {
+			got, err := os.ReadFile(filepath.Join(dirs[c], name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s differs between Sync every %d and every point: %d vs %d bytes",
+					name, cadences[c], len(got), len(want))
+			}
 		}
 	}
 }

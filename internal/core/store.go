@@ -51,11 +51,6 @@ type Options struct {
 	Window int64
 	// DB tunes the underlying storage engine.
 	DB sqlmini.Options
-	// RowAtATime disables the batched write path: every segment and
-	// feature row is written to the engine as its own statement, as in
-	// early versions. It exists as the baseline for the ingest benchmarks;
-	// leave it false otherwise.
-	RowAtATime bool
 
 	// Set-flags recorded by normalize so a resumed store can tell an
 	// explicitly requested default (which must match the persisted value)
@@ -109,10 +104,10 @@ type Store struct {
 	finished   bool
 	dirty      bool
 
-	// Batched write path (default): segment and feature rows accumulate
-	// here in emission order and reach the engine in one ExecBatch per
-	// table at Sync, so the heap layout — and the table files' bytes — are
-	// identical to row-at-a-time ingestion.
+	// Segment and feature rows accumulate here in emission order and
+	// reach the engine in one ExecBatch per table at Sync. The engine is
+	// untouched between Syncs, and the heap layout — the table files'
+	// bytes — follows emission order, not where the Syncs fall.
 	segRows  [][]sqlmini.Value
 	featRows map[feature.Kind]map[int][][]sqlmini.Value
 }
@@ -339,13 +334,7 @@ func (s *Store) initPipeline() error {
 func (s *Store) storeSegment(g segment.Segment) error {
 	row := []sqlmini.Value{
 		sqlmini.Int(g.Ts), sqlmini.Real(g.Vs), sqlmini.Int(g.Te), sqlmini.Real(g.Ve)}
-	if s.opts.RowAtATime {
-		if _, err := s.insSeg.Exec(row...); err != nil {
-			return err
-		}
-	} else {
-		s.segRows = append(s.segRows, row)
-	}
+	s.segRows = append(s.segRows, row)
 	return s.ext.Push(g)
 }
 
@@ -357,15 +346,11 @@ func (s *Store) storeBoundary(b feature.Boundary) error {
 	}
 	args = append(args,
 		sqlmini.Int(b.TD), sqlmini.Int(b.TC), sqlmini.Int(b.TB), sqlmini.Int(b.TA))
-	if s.opts.RowAtATime {
-		_, err := s.insFeat[b.Kind][nc].Exec(args...)
-		return err
-	}
 	s.featRows[b.Kind][nc] = append(s.featRows[b.Kind][nc], args)
 	return nil
 }
 
-// buffered reports how many rows await the next Sync on the batched path.
+// buffered reports how many rows await the next Sync.
 func (s *Store) buffered() int {
 	n := len(s.segRows)
 	for _, byNC := range s.featRows {
@@ -386,8 +371,8 @@ func (s *Store) clearBuffers() {
 }
 
 // flushRows drains the buffers through one ExecBatch per table. Within a
-// table, buffer order is emission order, so the heap receives rows exactly
-// as the row-at-a-time path would.
+// table, buffer order is emission order, so the heap receives rows in the
+// order the pipeline produced them.
 //
 // batchabort: caller — an ExecBatch failure here leaves the engine batch
 // open; Sync owns the AbortBatch.
@@ -411,18 +396,6 @@ func (s *Store) flushRows() error {
 	return nil
 }
 
-// beginIngest marks the store dirty; on the row-at-a-time path it also
-// opens an engine batch (the batched path touches the engine only at Sync).
-func (s *Store) beginIngest() {
-	if s.dirty {
-		return
-	}
-	s.dirty = true
-	if s.opts.RowAtATime {
-		s.db.BeginBatch()
-	}
-}
-
 // Append feeds one observation through segmentation and feature
 // extraction. Inserts are batched; call Sync (or Close) to make them
 // durable and searchable.
@@ -430,7 +403,7 @@ func (s *Store) Append(p timeseries.Point) error {
 	if s.finished {
 		return fmt.Errorf("core: append after Finish")
 	}
-	s.beginIngest()
+	s.dirty = true
 	return s.seg.Push(p)
 }
 
@@ -460,9 +433,6 @@ func (s *Store) Sync() error {
 		return nil
 	}
 	s.dirty = false
-	if s.opts.RowAtATime {
-		return s.db.CommitBatch()
-	}
 	if s.buffered() == 0 {
 		return nil
 	}
@@ -480,24 +450,13 @@ func (s *Store) Sync() error {
 }
 
 // Abort discards everything appended since the last successful Sync:
-// buffered rows are dropped, a row-at-a-time engine batch is rolled back
-// (durable stores only — in-memory stores have no committed state to
-// restore and report an error), and the segmentation pipeline is rebuilt
-// from the committed segment catalog. On the default batched path nothing
-// has touched the engine between Syncs, so aborting an in-memory store is
-// exact there.
+// buffered rows are dropped and the segmentation pipeline is rebuilt from
+// the committed segment catalog. Nothing touches the engine between
+// Syncs, so Abort is exact for on-disk and in-memory stores alike.
 func (s *Store) Abort() error {
-	wasDirty := s.dirty
 	s.dirty = false
 	s.clearBuffers()
-	var err error
-	if wasDirty && s.opts.RowAtATime {
-		err = s.db.AbortBatch()
-	}
-	if perr := s.initPipeline(); perr != nil && err == nil {
-		err = perr
-	}
-	return err
+	return s.initPipeline()
 }
 
 // Finish flushes the trailing partial segment and commits. After Finish
@@ -507,7 +466,7 @@ func (s *Store) Finish() error {
 		return nil
 	}
 	s.finished = true
-	s.beginIngest()
+	s.dirty = true
 	if err := s.seg.Close(); err != nil {
 		return errors.Join(err, s.Abort())
 	}
@@ -672,7 +631,7 @@ type Stats struct {
 	Epsilon         float64
 	Window          int64
 	// Cache aggregates the buffer-pool counters of every mounted file for
-	// this session, including the readahead prefetch hit/wasted split.
+	// this session.
 	Cache pager.Stats
 	// ZoneSkippedPages counts heap pages zone-map pruning excluded from
 	// sequential scans this session.
@@ -741,8 +700,7 @@ func (s *Store) TraceSearch(kind feature.Kind, T int64, V float64, mode sqlmini.
 // Metrics snapshots the engine's metrics registry: query counters and
 // latency histogram, buffer-pool and WAL counters, worker gauges. The
 // snapshot is internally consistent without stalling readers or
-// writers; it is the zero Snapshot when metrics are disabled
-// (Options.DB.DisableMetrics).
+// writers.
 func (s *Store) Metrics() obs.Snapshot { return s.db.Metrics() }
 
 // SlowQueries returns the engine's slow-query ring buffer, oldest

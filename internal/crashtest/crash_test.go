@@ -173,78 +173,6 @@ func TestCrashDeterministicRecovery(t *testing.T) {
 	}
 }
 
-// TestCrashReadAheadNoDivergence pins the readahead crash-safety
-// contract: prefetch is strictly read-only (it never dirties a frame and
-// never logs to the WAL), so enabling it must leave the write-class op
-// census — the crash-point space — and every recovered disk image
-// byte-identical to a run without it.
-func TestCrashReadAheadNoDivergence(t *testing.T) {
-	w, err := NewWorkload(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wra, err := NewWorkload(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wra.ReadAhead = 8
-
-	clean, err := w.CleanRun(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanRA, err := wra.CleanRun(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.SetupOps != cleanRA.SetupOps || clean.IngestOps != cleanRA.IngestOps ||
-		clean.TotalOps != cleanRA.TotalOps {
-		t.Fatalf("readahead moved the op census: off (%d,%d,%d) vs on (%d,%d,%d)",
-			clean.SetupOps, clean.IngestOps, clean.TotalOps,
-			cleanRA.SetupOps, cleanRA.IngestOps, cleanRA.TotalOps)
-	}
-	if len(clean.Matches) != len(cleanRA.Matches) {
-		t.Fatalf("readahead changed clean results: %d vs %d matches",
-			len(clean.Matches), len(cleanRA.Matches))
-	}
-	for i := range clean.Matches {
-		if clean.Matches[i] != cleanRA.Matches[i] {
-			t.Fatalf("clean match %d differs with readahead on", i)
-		}
-	}
-
-	// Sampled crash points: identical recovered images and results.
-	first, last := clean.FirstOp(), clean.TotalOps
-	for _, k := range []int64{first, (first + last) / 2, last} {
-		r0, err := w.CrashAt(t.TempDir(), k)
-		if err != nil {
-			t.Fatalf("crash point %d (readahead off): %v", k, err)
-		}
-		r1, err := wra.CrashAt(t.TempDir(), k)
-		if err != nil {
-			t.Fatalf("crash point %d (readahead on): %v", k, err)
-		}
-		if len(r0.Disk) != len(r1.Disk) {
-			t.Fatalf("crash point %d: recovered file sets differ (%d vs %d)",
-				k, len(r0.Disk), len(r1.Disk))
-		}
-		for name, data := range r0.Disk {
-			if !bytes.Equal(data, r1.Disk[name]) {
-				t.Fatalf("crash point %d: file %s differs with readahead on", k, name)
-			}
-		}
-		if len(r0.Recovered) != len(r1.Recovered) {
-			t.Fatalf("crash point %d: match counts differ (%d vs %d)",
-				k, len(r0.Recovered), len(r1.Recovered))
-		}
-		for i := range r0.Recovered {
-			if r0.Recovered[i] != r1.Recovered[i] {
-				t.Fatalf("crash point %d: match %d differs with readahead on", k, i)
-			}
-		}
-	}
-}
-
 // TestCrashObsNoDivergence pins the observability crash-safety contract:
 // metrics, per-query tracing, and the slow-query log are purely volatile
 // — they never dirty a page, never log to the WAL, and never touch a

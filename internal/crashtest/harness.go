@@ -57,12 +57,6 @@ type Workload struct {
 	Batches int     // number of Sync'd ingest batches
 	T       int64   // drop-search span (seconds)
 	V       float64 // drop-search threshold (negative)
-	// ReadAhead, when positive, turns on pager scan readahead for every
-	// store the workload opens. Prefetch is strictly read-only, so the
-	// write-class op census — and with it every crash point and every
-	// recovered disk image — must be identical with the knob on or off
-	// (TestCrashReadAheadNoDivergence pins this).
-	ReadAhead int
 	// Obs, when set, arms the observability layer as hard as a user can:
 	// the slow-query log records every query (threshold 1 ns) on top of
 	// the always-on metrics registry. Observability state is purely
@@ -106,7 +100,6 @@ func (w *Workload) options(reg *faultfs.Registry) core.Options {
 			FileFactory:  reg.Open,
 			UnionWorkers: 1,
 			WriteWorkers: 1,
-			ReadAhead:    w.ReadAhead,
 			SlowQuery:    slow,
 		},
 	}

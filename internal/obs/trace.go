@@ -40,14 +40,13 @@ type TraceNode struct {
 	Branch int `json:"branch"`
 	// EstRows is the planner's output-row estimate, -1 when the planner
 	// had no statistics for the node.
-	EstRows      int64  `json:"est_rows"`
-	RowsExamined int64  `json:"rows_examined"`
-	RowsReturned int64  `json:"rows_returned"`
-	PagesRead    uint64 `json:"pages_read"`
-	PagesHit     uint64 `json:"pages_hit"`
-	PrefetchHits uint64 `json:"prefetch_hits"`
-	ZoneSkipped  uint64 `json:"zone_skipped_pages"`
-	WallNS       int64  `json:"wall_ns"`
+	EstRows      int64        `json:"est_rows"`
+	RowsExamined int64        `json:"rows_examined"`
+	RowsReturned int64        `json:"rows_returned"`
+	PagesRead    uint64       `json:"pages_read"`
+	PagesHit     uint64       `json:"pages_hit"`
+	ZoneSkipped  uint64       `json:"zone_skipped_pages"`
+	WallNS       int64        `json:"wall_ns"`
 	Children     []*TraceNode `json:"children,omitempty"`
 }
 
@@ -55,8 +54,8 @@ type TraceNode struct {
 // Tests normalize the volatile wall field with NormalizeWall.
 func (n *TraceNode) annot() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "(actual rows=%d examined=%d pages_read=%d pages_hit=%d prefetch_hits=%d zone_skipped=%d wall=%s",
-		n.RowsReturned, n.RowsExamined, n.PagesRead, n.PagesHit, n.PrefetchHits, n.ZoneSkipped,
+	fmt.Fprintf(&b, "(actual rows=%d examined=%d pages_read=%d pages_hit=%d zone_skipped=%d wall=%s",
+		n.RowsReturned, n.RowsExamined, n.PagesRead, n.PagesHit, n.ZoneSkipped,
 		time.Duration(n.WallNS))
 	if n.EstRows >= 0 {
 		fmt.Fprintf(&b, " est_rows=%d", n.EstRows)
@@ -88,11 +87,15 @@ func (n *TraceNode) render(indent string) string {
 }
 
 // RowsExaminedTotal sums rows examined over the whole tree.
-func (t *Trace) RowsExaminedTotal() int64 { return t.sum(func(n *TraceNode) int64 { return n.RowsExamined }) }
+func (t *Trace) RowsExaminedTotal() int64 {
+	return t.sum(func(n *TraceNode) int64 { return n.RowsExamined })
+}
 
 // RowsReturnedTotal sums rows returned over the whole tree (before
 // UNION deduplication).
-func (t *Trace) RowsReturnedTotal() int64 { return t.sum(func(n *TraceNode) int64 { return n.RowsReturned }) }
+func (t *Trace) RowsReturnedTotal() int64 {
+	return t.sum(func(n *TraceNode) int64 { return n.RowsReturned })
+}
 
 // PagesReadTotal sums page reads over the whole tree.
 func (t *Trace) PagesReadTotal() uint64 {

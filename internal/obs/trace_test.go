@@ -35,10 +35,10 @@ func sampleTrace() *Trace {
 func TestTraceLines(t *testing.T) {
 	lines := sampleTrace().Lines()
 	want := []string{
-		"FUSED INDEX SCAN t_a ON t BRANCHES 2 (actual rows=7 examined=10 pages_read=4 pages_hit=2 prefetch_hits=0 zone_skipped=0 wall=1µs est_rows=13)",
-		"  BRANCH 0: INDEX SCAN t_a ON t (actual rows=3 examined=5 pages_read=0 pages_hit=0 prefetch_hits=0 zone_skipped=0 wall=400ns est_rows=4)",
-		"  BRANCH 1: INDEX SCAN t_a ON t (actual rows=4 examined=5 pages_read=0 pages_hit=0 prefetch_hits=0 zone_skipped=0 wall=600ns)",
-		"SEQ SCAN u (actual rows=1 examined=6 pages_read=1 pages_hit=0 prefetch_hits=0 zone_skipped=2 wall=500ns)",
+		"FUSED INDEX SCAN t_a ON t BRANCHES 2 (actual rows=7 examined=10 pages_read=4 pages_hit=2 zone_skipped=0 wall=1µs est_rows=13)",
+		"  BRANCH 0: INDEX SCAN t_a ON t (actual rows=3 examined=5 pages_read=0 pages_hit=0 zone_skipped=0 wall=400ns est_rows=4)",
+		"  BRANCH 1: INDEX SCAN t_a ON t (actual rows=4 examined=5 pages_read=0 pages_hit=0 zone_skipped=0 wall=600ns)",
+		"SEQ SCAN u (actual rows=1 examined=6 pages_read=1 pages_hit=0 zone_skipped=2 wall=500ns)",
 	}
 	if len(lines) != len(want) {
 		t.Fatalf("got %d lines %q, want %d", len(lines), lines, len(want))
@@ -51,7 +51,7 @@ func TestTraceLines(t *testing.T) {
 }
 
 func TestNormalizeWall(t *testing.T) {
-	in := "SEQ SCAN u (actual rows=1 examined=6 pages_read=1 pages_hit=0 prefetch_hits=0 zone_skipped=2 wall=512.3µs)"
+	in := "SEQ SCAN u (actual rows=1 examined=6 pages_read=1 pages_hit=0 zone_skipped=2 wall=512.3µs)"
 	got := NormalizeWall(in)
 	if !strings.Contains(got, "wall=X)") || strings.Contains(got, "512") {
 		t.Fatalf("normalize failed: %q", got)

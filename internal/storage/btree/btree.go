@@ -685,12 +685,6 @@ func (t *Tree) SeekInto(it *Iterator, lo []byte) {
 		if nd.leaf {
 			it.nd = nd
 			it.i = lowerBound(nd.keys, lo)
-			// Leaf-chain readahead: a range scan will walk the next
-			// pointers, so announce the successor leaf to the prefetcher
-			// (no-op unless the pager has readahead configured).
-			if nd.next != 0 {
-				t.pg.Prefetch(nd.next)
-			}
 			it.skipEmptyLeaves()
 			return
 		}
@@ -710,9 +704,6 @@ func (it *Iterator) skipEmptyLeaves() {
 			it.err = err
 			it.done = true
 			return
-		}
-		if nd.next != 0 {
-			it.t.pg.Prefetch(nd.next) // keep one leaf ahead of the walk
 		}
 		it.nd = nd
 		it.i = 0

@@ -252,31 +252,16 @@ func (h *Heap) Scan(fn func(RID, []byte) (bool, error)) error {
 	return h.ScanPages(nil, fn)
 }
 
-// ScanPages is Scan with page-level pruning and readahead. A non-nil keep
-// skips whole pages for which keep(id) is false without reading them —
-// the engine passes a zone-map check here, which is advisory only: keep
-// must over-approximate (it may admit pages with no matching rows, never
-// the reverse). If the pager has readahead configured, upcoming kept
-// pages are announced to the prefetcher so their reads overlap fn.
+// ScanPages is Scan with page-level pruning. A non-nil keep skips whole
+// pages for which keep(id) is false without reading them — the engine
+// passes a zone-map check here, which is advisory only: keep must
+// over-approximate (it may admit pages with no matching rows, never the
+// reverse).
 func (h *Heap) ScanPages(keep func(pager.PageID) bool, fn func(RID, []byte) (bool, error)) error {
 	nPages := h.pg.NumPages()
-	ra := pager.PageID(h.pg.ReadAhead())
-	next := pager.PageID(0) // readahead frontier: first page not yet announced
 	for id := pager.PageID(0); id < nPages; id++ {
 		if keep != nil && !keep(id) {
 			continue
-		}
-		if ra > 0 {
-			// Announce kept pages in (id, id+ra]; the frontier only moves
-			// forward so each page is announced at most once per scan.
-			if next <= id {
-				next = id + 1
-			}
-			for ; next <= id+ra && next < nPages; next++ {
-				if keep == nil || keep(next) {
-					h.pg.Prefetch(next)
-				}
-			}
 		}
 		p, err := h.pg.Get(id)
 		if err != nil {

@@ -80,6 +80,9 @@ func TestConcurrentGet(t *testing.T) {
 	if st.Hits+st.Misses != goroutines*iters {
 		t.Fatalf("hits %d + misses %d != %d lookups", st.Hits, st.Misses, goroutines*iters)
 	}
+	if st.Reads != st.Misses {
+		t.Fatalf("every file read is a miss: reads %d != misses %d", st.Reads, st.Misses)
+	}
 	if st.Misses == 0 || st.Evictions == 0 {
 		t.Fatalf("pool of 32 over 256 pages should thrash, stats %+v", st)
 	}
@@ -116,6 +119,9 @@ func TestConcurrentGetSharedHotSet(t *testing.T) {
 	st := p.Stats()
 	if st.Hits+st.Misses != goroutines*iters {
 		t.Fatalf("lost lookups: hits %d + misses %d != %d", st.Hits, st.Misses, goroutines*iters)
+	}
+	if st.Reads != st.Misses {
+		t.Fatalf("every file read is a miss: reads %d != misses %d", st.Reads, st.Misses)
 	}
 	if st.Misses > nPages {
 		t.Fatalf("hot set misses %d > page count %d (double loads?)", st.Misses, nPages)

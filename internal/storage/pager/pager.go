@@ -13,20 +13,20 @@
 // A miss registers an in-flight read in its shard, performs the file read
 // with no latch held (so concurrent misses on different pages overlap
 // their I/O), and re-checks under the shard's exclusive latch before
-// inserting — a demand read and a readahead prefetch of the same page
-// never load it twice. Eviction is shard-local against a global frame
-// budget and is safe because pinning requires the shard latch (shared or
-// exclusive) while eviction holds it exclusively. The checkpoint
+// inserting — two misses on the same page never load it twice. Eviction
+// is shard-local against a global frame budget and is safe because
+// pinning requires the shard latch (shared or exclusive) while eviction
+// holds it exclusively. The checkpoint
 // operations (Flush, Sync, DropCache, LogDirty, Discard, Close) and Stats
 // acquire every shard latch in ascending shard order, so they observe a
 // quiescent pool; DropCache and Discard additionally invalidate (by epoch)
-// and drain in-flight reads, so a dropped cache never resurrects a stale
-// prefetched frame. Stats counters are incremented only while a shard
-// latch is held and snapshotted under all latches, so a snapshot is
+// and drain in-flight reads, so a dropped cache is never repopulated with
+// bytes read before the drop. Stats counters are incremented only while a
+// shard latch is held and snapshotted under all latches, so a snapshot is
 // internally consistent: Hits+Misses equals the number of successful Gets
-// and Reads equals Misses+PrefetchReads. Writers (MarkDirty and the code
-// paths that modify page contents) must still be serialized externally
-// against readers — the query engine layers a reader/writer lock above
+// and Reads equals Misses. Writers (MarkDirty and the code paths that
+// modify page contents) must still be serialized externally against
+// readers — the query engine layers a reader/writer lock above
 // this package (see sqlmini.DB).
 //
 // Small pools collapse to a single shard (striping below a few hundred
@@ -50,18 +50,13 @@ type PageID uint32
 
 // Stats are cumulative buffer pool counters (a consistent snapshot; see
 // Pager.Stats). In a fault-free run Hits+Misses equals the number of
-// successful Gets and Reads equals Misses+PrefetchReads; PrefetchHits and
-// PrefetchWasted partition the prefetched frames that are no longer
-// cached (frames still waiting in the pool are in neither).
+// successful Gets and Reads equals Misses.
 type Stats struct {
-	Hits           uint64 // Get served from cache
-	Misses         uint64 // Get required a file read
-	Reads          uint64 // pages read from the file
-	Writes         uint64 // pages written to the file
-	Evictions      uint64 // frames evicted to make room
-	PrefetchReads  uint64 // pages read by the readahead prefetcher
-	PrefetchHits   uint64 // Gets served from a prefetched frame
-	PrefetchWasted uint64 // prefetched frames dropped before any Get used them
+	Hits      uint64 // Get served from cache
+	Misses    uint64 // Get required a file read
+	Reads     uint64 // pages read from the file
+	Writes    uint64 // pages written to the file
+	Evictions uint64 // frames evicted to make room
 }
 
 // padUint64 is an atomic counter padded to its own cache line. Parallel
@@ -79,32 +74,27 @@ type padUint64 struct {
 // latch is held (shared or exclusive), so holding a shard latch
 // exclusively excludes increments — that is what makes Stats consistent.
 type statCounters struct {
-	hits           padUint64
-	misses         padUint64
-	reads          padUint64
-	writes         padUint64
-	evictions      padUint64
-	prefetchReads  padUint64
-	prefetchHits   padUint64
-	prefetchWasted padUint64
+	hits      padUint64
+	misses    padUint64
+	reads     padUint64
+	writes    padUint64
+	evictions padUint64
 }
 
 type frame struct {
-	id         PageID
-	data       []byte
-	pins       atomic.Int32
-	used       atomic.Bool // referenced since the clock hand last passed
-	prefetched atomic.Bool // loaded by readahead and not yet served to a Get
-	dirty      bool        // buffer differs from the file; writer-owned, see shard doc
-	logged     bool        // dirty content captured by the WAL; under no-steal, eviction may write only logged frames
-	ringIdx    int         // position in shard.ring; maintained under the shard latch
+	id      PageID
+	data    []byte
+	pins    atomic.Int32
+	used    atomic.Bool // referenced since the clock hand last passed
+	dirty   bool        // buffer differs from the file; writer-owned, see shard doc
+	logged  bool        // dirty content captured by the WAL; under no-steal, eviction may write only logged frames
+	ringIdx int         // position in shard.ring; maintained under the shard latch
 }
 
-// inflightRead is one registered in-progress file read (demand miss or
-// prefetch). Waiters block on done and then retry their lookup; the
-// epoch recorded at registration lets DropCache and Discard invalidate
-// the completion so a dropped cache is never repopulated with bytes read
-// before the drop.
+// inflightRead is one registered in-progress file read. Waiters block on
+// done and then retry their lookup; the epoch recorded at registration
+// lets DropCache and Discard invalidate the completion so a dropped cache
+// is never repopulated with bytes read before the drop.
 type inflightRead struct {
 	done  chan struct{}
 	epoch uint64
@@ -156,15 +146,6 @@ type Pager struct {
 	epoch    atomic.Uint64 // bumped by DropCache/Discard to invalidate in-flight reads
 	closed   atomic.Bool   // set once by Close; checked on every entry point
 	noSteal  atomic.Bool   // eviction policy; see SetNoSteal
-
-	// Readahead state; see prefetch.go. pfCh and pfStop are created by the
-	// first enabling SetReadAhead, which must happen before the pager is
-	// shared (the engine configures readahead at mount time).
-	ra        atomic.Int32 // prefetch distance in pages; 0 = disabled
-	pfCh      chan PageID
-	pfStop    chan struct{}
-	pfWG      sync.WaitGroup
-	pfStopped atomic.Bool
 }
 
 // DefaultCapacity is the default buffer pool size in frames (1024 pages =
@@ -242,9 +223,6 @@ func addStats(s *shard, st *Stats) {
 	st.Reads += atomic.LoadUint64(&s.stats.reads.v)
 	st.Writes += atomic.LoadUint64(&s.stats.writes.v)
 	st.Evictions += atomic.LoadUint64(&s.stats.evictions.v)
-	st.PrefetchReads += atomic.LoadUint64(&s.stats.prefetchReads.v)
-	st.PrefetchHits += atomic.LoadUint64(&s.stats.prefetchHits.v)
-	st.PrefetchWasted += atomic.LoadUint64(&s.stats.prefetchWasted.v)
 }
 
 // Stats returns a consistent snapshot of the cumulative counters: every
@@ -328,9 +306,8 @@ func (p *Pager) insertFrame(s *shard, fr *frame) {
 	p.nFrames.Add(1)
 }
 
-// removeFrame deletes fr from s's map and clock ring (swap-remove),
-// refunds the frame budget, and accounts a never-used prefetched frame as
-// wasted.
+// removeFrame deletes fr from s's map and clock ring (swap-remove) and
+// refunds the frame budget.
 //
 // locks: s.mu
 func (p *Pager) removeFrame(s *shard, fr *frame) {
@@ -340,9 +317,6 @@ func (p *Pager) removeFrame(s *shard, fr *frame) {
 	s.ring = s.ring[:len(s.ring)-1]
 	delete(s.frames, fr.id)
 	p.nFrames.Add(-1)
-	if fr.prefetched.Load() {
-		atomic.AddUint64(&s.stats.prefetchWasted.v, 1)
-	}
 }
 
 // Allocate appends a zeroed page to the file and returns it pinned.
@@ -385,9 +359,6 @@ func (p *Pager) Allocate() (Page, error) {
 // locks: s.mu (any)
 func hitLocked(s *shard, fr *frame) {
 	fr.pin()
-	if fr.prefetched.CompareAndSwap(true, false) {
-		atomic.AddUint64(&s.stats.prefetchHits.v, 1)
-	}
 	atomic.AddUint64(&s.stats.hits.v, 1)
 }
 
@@ -395,7 +366,7 @@ func hitLocked(s *shard, fr *frame) {
 // shard's shared latch and proceed in parallel; a miss registers an
 // in-flight read, performs the file read with no latch held, and inserts
 // under the exclusive latch. A Get that finds another goroutine's read in
-// flight (demand or prefetch) waits for it instead of reading twice.
+// flight waits for it instead of reading twice.
 func (p *Pager) Get(id PageID) (Page, error) {
 	s := p.shardOf(id)
 	for {
@@ -681,12 +652,10 @@ func (p *Pager) dropShard(s *shard) {
 
 // DropCache flushes dirty pages and evicts every unpinned frame, simulating
 // a cold cache (the experiments' "operating system cache is flushed before
-// every query"). Pinned frames are retained. Queued readahead requests are
-// discarded, and reads already in flight are invalidated (their completions
-// will not repopulate the cache) and drained before DropCache returns, so
-// a drop-then-scan never observes a stale prefetched frame.
+// every query"). Pinned frames are retained. Reads already in flight are
+// invalidated (their completions will not repopulate the cache) and drained
+// before DropCache returns.
 func (p *Pager) DropCache() error {
-	p.drainPrefetchQueue()
 	p.lockAll()
 	p.epoch.Add(1)
 	var waits []chan struct{}
@@ -726,11 +695,6 @@ func pinnedPage(s *shard) (PageID, bool) {
 // locks: s.mu
 func discardShard(s *shard) int64 {
 	n := int64(len(s.frames))
-	for _, fr := range s.frames {
-		if fr.prefetched.Load() {
-			atomic.AddUint64(&s.stats.prefetchWasted.v, 1)
-		}
-	}
 	s.frames = make(map[PageID]*frame)
 	s.unlogged = make(map[PageID]*frame)
 	s.ring = s.ring[:0]
@@ -745,7 +709,6 @@ func discardShard(s *shard) int64 {
 // Outstanding pins are an error. Like DropCache, it invalidates and
 // drains in-flight reads.
 func (p *Pager) Discard() error {
-	p.drainPrefetchQueue()
 	p.lockAll()
 	if p.closed.Load() {
 		p.unlockAll()
@@ -792,9 +755,6 @@ func resetStats(s *shard) {
 	atomic.StoreUint64(&s.stats.reads.v, 0)
 	atomic.StoreUint64(&s.stats.writes.v, 0)
 	atomic.StoreUint64(&s.stats.evictions.v, 0)
-	atomic.StoreUint64(&s.stats.prefetchReads.v, 0)
-	atomic.StoreUint64(&s.stats.prefetchHits.v, 0)
-	atomic.StoreUint64(&s.stats.prefetchWasted.v, 0)
 }
 
 // ResetStats zeroes the counters (used between experiment runs).
@@ -811,10 +771,9 @@ func (p *Pager) SizeBytes() int64 {
 	return int64(p.nPages.Load()) * PageSize
 }
 
-// Close stops the prefetcher, flushes, and closes the underlying file.
-// Pinned pages outstanding at Close are an error.
+// Close flushes and closes the underlying file. Pinned pages outstanding
+// at Close are an error.
 func (p *Pager) Close() error {
-	p.stopPrefetch()
 	for {
 		p.lockAll()
 		if p.closed.Load() {

@@ -11,7 +11,7 @@ import (
 // EXPLAIN ANALYZE: execute the statement and annotate every plan node
 // with runtime counters. Row counts are exact — they come from per-plan
 // scanTrace counters incremented on the scan path. Page counters
-// (reads, hits, prefetch hits) and zone-map skips are deltas over the
+// (reads, hits) and zone-map skips are deltas over the
 // node's buffer pools taken around its execution; they are exact when
 // the query runs alone and approximate when concurrent queries touch
 // the same table, which is the same attribution model pager.Stats
@@ -99,9 +99,6 @@ func (d *nodeDelta) sum() pager.Stats {
 		s.Reads += ps.Reads
 		s.Writes += ps.Writes
 		s.Evictions += ps.Evictions
-		s.PrefetchReads += ps.PrefetchReads
-		s.PrefetchHits += ps.PrefetchHits
-		s.PrefetchWasted += ps.PrefetchWasted
 	}
 	return s
 }
@@ -111,7 +108,6 @@ func (d *nodeDelta) finish(n *obs.TraceNode) *obs.TraceNode {
 	cur := d.sum()
 	n.PagesRead = cur.Reads - d.base.Reads
 	n.PagesHit = cur.Hits - d.base.Hits
-	n.PrefetchHits = cur.PrefetchHits - d.base.PrefetchHits
 	n.ZoneSkipped = d.db.zoneSkipped.Load() - d.zoneBase
 	return n
 }

@@ -1,7 +1,6 @@
 package sqlmini
 
 import (
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -71,7 +70,7 @@ func TestExplainAnalyzeGoldenSeq(t *testing.T) {
 		"EXPLAIN ANALYZE SELECT a FROM t WHERE b <= ?", Real(4))
 	want := []string{
 		"SEQ SCAN t ZONEMAP FILTER (b <= ?1) EST sel=1.0000 rows~39 cost=16.2 " +
-			"(actual rows=40 examined=1020 pages_read=0 pages_hit=5 prefetch_hits=0 zone_skipped=1 wall=X est_rows=39)",
+			"(actual rows=40 examined=1020 pages_read=0 pages_hit=5 zone_skipped=1 wall=X est_rows=39)",
 	}
 	diffLines(t, got, want)
 }
@@ -86,7 +85,7 @@ func TestExplainAnalyzeGoldenZoneMapPruned(t *testing.T) {
 		"EXPLAIN ANALYZE SELECT a FROM t WHERE a < ?", Int(100))
 	want := []string{
 		"SEQ SCAN t ZONEMAP FILTER (a < ?1) EST sel=1.0000 rows~101 cost=16.2 " +
-			"(actual rows=100 examined=204 pages_read=0 pages_hit=1 prefetch_hits=0 zone_skipped=5 wall=X est_rows=101)",
+			"(actual rows=100 examined=204 pages_read=0 pages_hit=1 zone_skipped=5 wall=X est_rows=101)",
 	}
 	diffLines(t, got, want)
 }
@@ -100,7 +99,7 @@ func TestExplainAnalyzeGoldenIndex(t *testing.T) {
 		"EXPLAIN ANALYZE SELECT a, b FROM t WHERE a <= ? AND b <= ?", Int(100), Real(4))
 	want := []string{
 		"INDEX SCAN t_a ON t BOUNDS(a<~100) FILTER ((a <= ?1) AND (b <= ?2)) EST sel=0.0989 rows~4 cost=8.0 " +
-			"(actual rows=5 examined=101 pages_read=0 pages_hit=8 prefetch_hits=0 zone_skipped=0 wall=X est_rows=4)",
+			"(actual rows=5 examined=101 pages_read=0 pages_hit=8 zone_skipped=0 wall=X est_rows=4)",
 	}
 	diffLines(t, got, want)
 }
@@ -116,47 +115,13 @@ func TestExplainAnalyzeGoldenFusedUnion(t *testing.T) {
 		Int(100), Real(4), Int(150), Real(120))
 	want := []string{
 		"FUSED INDEX SCAN t_a ON t BRANCHES 2 EST sel=0.1474 rows~13 " +
-			"(actual rows=13 examined=252 pages_read=0 pages_hit=17 prefetch_hits=0 zone_skipped=0 wall=X est_rows=13)",
+			"(actual rows=13 examined=252 pages_read=0 pages_hit=17 zone_skipped=0 wall=X est_rows=13)",
 		"  BRANCH 0: INDEX SCAN t_a ON t BOUNDS(a<~100) FILTER ((a <= ?1) AND (b <= ?2)) EST sel=0.0989 rows~4 cost=8.0 " +
-			"(actual rows=5 examined=101 pages_read=0 pages_hit=0 prefetch_hits=0 zone_skipped=0 wall=X est_rows=4)",
+			"(actual rows=5 examined=101 pages_read=0 pages_hit=0 zone_skipped=0 wall=X est_rows=4)",
 		"  BRANCH 1: INDEX SCAN t_a ON t BOUNDS(a<~150) FILTER ((a <= ?3) AND (b >= ?4)) EST sel=0.1474 rows~9 cost=12.1 " +
-			"(actual rows=8 examined=151 pages_read=0 pages_hit=0 prefetch_hits=0 zone_skipped=0 wall=X est_rows=9)",
+			"(actual rows=8 examined=151 pages_read=0 pages_hit=0 zone_skipped=0 wall=X est_rows=9)",
 	}
 	diffLines(t, got, want)
-}
-
-// pagesRE hides the page counters that become timing-dependent once the
-// background prefetcher races the scan.
-var pagesRE = regexp.MustCompile(`(pages_read|pages_hit|prefetch_hits)=\d+`)
-
-// TestExplainAnalyzeGoldenReadAhead pins the readahead-annotated plan.
-// Row counts stay exact; the page counters are normalized because the
-// prefetcher's async reads race the scan's demand reads. zone_skipped
-// stays exact even here: both pruning sites (the scan's page skip and
-// the readahead announce filter) run on the scanning goroutine, and the
-// pruned tail page is counted once by each — hence 2.
-func TestExplainAnalyzeGoldenReadAhead(t *testing.T) {
-	db := analyzeFixture(t, Options{ReadAhead: 4})
-	if err := db.DropCache(); err != nil {
-		t.Fatal(err)
-	}
-	got := analyzeLines(t, db, PlanForceScan,
-		"EXPLAIN ANALYZE SELECT a FROM t WHERE b <= ?", Real(4))
-	for i := range got {
-		got[i] = pagesRE.ReplaceAllString(got[i], "${1}=N")
-	}
-	want := []string{
-		"SEQ SCAN t ZONEMAP READAHEAD 4 FILTER (b <= ?1) EST sel=1.0000 rows~39 cost=16.2 " +
-			"(actual rows=40 examined=1020 pages_read=N pages_hit=N prefetch_hits=N zone_skipped=2 wall=X est_rows=39)",
-	}
-	diffLines(t, got, want)
-
-	// The normalized counters still obey the pool identity: every read is
-	// either a demand miss or a prefetch.
-	cs := db.CacheStats()
-	if cs.Reads != cs.Misses+cs.PrefetchReads {
-		t.Errorf("Reads=%d != Misses=%d + PrefetchReads=%d", cs.Reads, cs.Misses, cs.PrefetchReads)
-	}
 }
 
 // TestExplainAnalyzeEstimateVsActualSkew pins estimate-vs-actual on
@@ -296,21 +261,30 @@ func TestAnalyzePageDeltaMatchesPager(t *testing.T) {
 		if tr.PagesReadTotal() == 0 {
 			t.Errorf("%s: cold query read no pages", q.sql)
 		}
-		if cur.Reads != cur.Misses+cur.PrefetchReads {
-			t.Errorf("%s: Reads=%d != Misses=%d + PrefetchReads=%d", q.sql, cur.Reads, cur.Misses, cur.PrefetchReads)
+		if cur.Reads != cur.Misses {
+			t.Errorf("%s: Reads=%d != Misses=%d", q.sql, cur.Reads, cur.Misses)
 		}
 	}
 }
 
 // TestMetricsSnapshotMonotonic checks that registry counters never move
-// backwards across queries, and that the query counters advance by
-// exactly one per observed query.
+// backwards across queries, that the query counters advance by exactly
+// one per observed query, and that the folded pager counters keep the
+// pool identity (every file read is a miss).
 func TestMetricsSnapshotMonotonic(t *testing.T) {
 	db := analyzeFixture(t, Options{})
 	prev := db.Metrics()
 	for i := 0; i < 5; i++ {
+		if i == 2 {
+			if err := db.DropCache(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		mustQuery(t, db, "SELECT a FROM t WHERE a <= ?", Int(int64(10*i)))
 		snap := db.Metrics()
+		if r, m := snap.Counter("pager.reads"), snap.Counter("pager.misses"); r != m {
+			t.Fatalf("pager.reads %d != pager.misses %d", r, m)
+		}
 		for _, name := range prev.Names() {
 			if snap.Counter(name) < prev.Counter(name) {
 				t.Fatalf("counter %s went backwards: %d -> %d", name, prev.Counter(name), snap.Counter(name))

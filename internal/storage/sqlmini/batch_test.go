@@ -42,7 +42,7 @@ func TestMultiRowInsertSQL(t *testing.T) {
 // ExecBatch must leave the store in a state indistinguishable from per-row
 // Exec: identical query results through every plan, and byte-identical
 // table files (heap order is preserved by the batched path).
-func TestExecBatchMatchesRowAtATime(t *testing.T) {
+func TestExecBatchMatchesPerRowExec(t *testing.T) {
 	setup := func(dir string) *DB {
 		db, err := Open(dir, Options{PoolPages: 64})
 		if err != nil {

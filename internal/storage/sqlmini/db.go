@@ -41,17 +41,10 @@ type Options struct {
 	WriteWorkers int
 	// DisableFusion turns off the fused shared-scan union executor: every
 	// UNION branch runs its own index descent or heap pass, as before the
-	// fusion pass existed. Results are identical either way; the knob
-	// exists for A/B benchmarking (internal/bench compares both paths)
-	// and as an escape hatch.
+	// fusion pass existed. Results are identical either way; the property
+	// tests run this branch-at-a-time path as the reference the fused
+	// executor must match.
 	DisableFusion bool
-	// ReadAhead is the scan prefetch distance in pages: heap sequential
-	// scans and B+tree leaf-chain scans announce up to this many upcoming
-	// pages to a background prefetcher, overlapping cold-cache reads with
-	// row processing. 0 (the default) disables readahead entirely — the
-	// crash harness relies on the default execution being free of
-	// background I/O. Results are identical either way.
-	ReadAhead int
 	// DisableZoneMaps turns off zone-map page pruning on sequential and
 	// fused-sequential scans (zones are still maintained on the write
 	// path). Results are identical either way; the knob exists for the
@@ -68,12 +61,6 @@ type Options struct {
 	// 0 (the default) disables the log. Observability state is purely
 	// volatile — nothing recorded here is ever written to disk.
 	SlowQuery time.Duration
-	// DisableMetrics turns off the always-on engine metrics registry
-	// (query counters/latency histogram plus the source-folded pager,
-	// WAL, and zone-map counters; see DB.Metrics). Queries then skip the
-	// per-query clock read and counter updates entirely. The knob exists
-	// for A/B overhead benchmarking (internal/bench measures both).
-	DisableMetrics bool
 }
 
 func (o Options) normalize() Options {
@@ -88,9 +75,6 @@ func (o Options) normalize() Options {
 	}
 	if o.WriteWorkers <= 0 {
 		o.WriteWorkers = runtime.GOMAXPROCS(0)
-	}
-	if o.ReadAhead < 0 {
-		o.ReadAhead = 0
 	}
 	return o
 }
@@ -141,12 +125,11 @@ type DB struct {
 	catalogBytes atomic.Uint64
 
 	// Observability. reg, slow, and met are created once at open (before
-	// the DB is shared) and immutable afterwards; reg is nil when
-	// Options.DisableMetrics is set, slow is nil unless Options.SlowQuery
-	// is positive. obsPagers is a dedicated list of every mounted pager
-	// under its own obsMu rather than db.mu, so CacheStats and registry
-	// snapshots read live counters even while a batched write holds the
-	// writer lock for its whole duration.
+	// the DB is shared) and immutable afterwards; slow is nil unless
+	// Options.SlowQuery is positive. obsPagers is a dedicated list of
+	// every mounted pager under its own obsMu rather than db.mu, so
+	// CacheStats and registry snapshots read live counters even while a
+	// batched write holds the writer lock for its whole duration.
 	reg       *obs.Registry
 	slow      *obs.SlowLog
 	met       dbMetrics
@@ -155,8 +138,7 @@ type DB struct {
 }
 
 // dbMetrics caches the hot-path metric cells so the per-query path never
-// touches the registry's name maps (and their lock). All nil when
-// metrics are disabled.
+// touches the registry's name maps (and their lock).
 type dbMetrics struct {
 	queries      *obs.Counter
 	queryErrs    *obs.Counter
@@ -173,9 +155,6 @@ func (db *DB) initObs() {
 	if db.opts.SlowQuery > 0 {
 		db.slow = obs.NewSlowLog(db.opts.SlowQuery, 0)
 	}
-	if db.opts.DisableMetrics {
-		return
-	}
 	db.reg = obs.NewRegistry()
 	db.met = dbMetrics{
 		queries:      db.reg.Counter("engine.queries"),
@@ -186,7 +165,6 @@ func (db *DB) initObs() {
 	}
 	db.reg.Gauge("engine.union_workers").Set(int64(db.opts.UnionWorkers))
 	db.reg.Gauge("engine.write_workers").Set(int64(db.opts.WriteWorkers))
-	db.reg.Gauge("engine.readahead_pages").Set(int64(db.opts.ReadAhead))
 	db.reg.RegisterSource(func(put func(string, uint64)) {
 		cs := db.CacheStats()
 		put("pager.hits", cs.Hits)
@@ -194,9 +172,6 @@ func (db *DB) initObs() {
 		put("pager.reads", cs.Reads)
 		put("pager.writes", cs.Writes)
 		put("pager.evictions", cs.Evictions)
-		put("pager.prefetch_reads", cs.PrefetchReads)
-		put("pager.prefetch_hits", cs.PrefetchHits)
-		put("pager.prefetch_wasted", cs.PrefetchWasted)
 		put("zone.skipped_pages", db.zoneSkipped.Load())
 		put("catalog.saves", db.catalogSaves.Load())
 		put("catalog.bytes_written", db.catalogBytes.Load())
@@ -207,9 +182,6 @@ func (db *DB) initObs() {
 // snapshots. The captured log pointer is read-only here and wal.Stats
 // is safe from any goroutine.
 func (db *DB) initObsWAL(lg *wal.Log) {
-	if db.reg == nil {
-		return
-	}
 	db.reg.RegisterSource(func(put func(string, uint64)) {
 		ws := lg.Stats()
 		put("wal.commits", ws.Commits)
@@ -415,9 +387,6 @@ func (db *DB) newPager(f pager.File) (*pager.Pager, error) {
 	}
 	if db.log != nil {
 		pg.SetNoSteal(true)
-	}
-	if db.opts.ReadAhead > 0 {
-		pg.SetReadAhead(db.opts.ReadAhead)
 	}
 	return pg, nil
 }
@@ -669,14 +638,8 @@ func ctxErr(ctx context.Context) error {
 }
 
 // observedQuery runs one parsed read statement under the shared lock,
-// feeding the always-on query metrics and the slow-query log. With both
-// disabled it adds exactly two nil checks to the query path.
+// feeding the always-on query metrics and the slow-query log.
 func (db *DB) observedQuery(ctx context.Context, st stmt, sql string, args []Value, mode PlanMode) (*Rows, error) {
-	if db.reg == nil && db.slow == nil {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		return db.queryLocked(ctx, st, args, mode)
-	}
 	start := time.Now()
 	rows, err := func() (*Rows, error) {
 		db.mu.RLock()
@@ -693,20 +656,18 @@ func (db *DB) noteQuery(sql string, wall time.Duration, rows *Rows, err error) {
 	if rows != nil {
 		n = rows.Len()
 	}
-	if db.reg != nil {
-		db.met.queries.Inc()
-		db.met.queryNS.Observe(wall.Nanoseconds())
-		db.met.rowsReturned.Add(uint64(n))
-		if err != nil {
-			db.met.queryErrs.Inc()
-		}
+	db.met.queries.Inc()
+	db.met.queryNS.Observe(wall.Nanoseconds())
+	db.met.rowsReturned.Add(uint64(n))
+	if err != nil {
+		db.met.queryErrs.Inc()
 	}
 	if db.slow != nil {
 		q := obs.SlowQuery{SQL: sql, Wall: wall, Rows: n, When: time.Now()}
 		if err != nil {
 			q.Err = err.Error()
 		}
-		if db.slow.Note(q) && db.reg != nil {
+		if db.slow.Note(q) {
 			db.met.slowQueries.Inc()
 		}
 	}
@@ -1096,9 +1057,6 @@ func (db *DB) CacheStats() pager.Stats {
 		s.Reads += x.Reads
 		s.Writes += x.Writes
 		s.Evictions += x.Evictions
-		s.PrefetchReads += x.PrefetchReads
-		s.PrefetchHits += x.PrefetchHits
-		s.PrefetchWasted += x.PrefetchWasted
 	}
 	return s
 }
@@ -1106,16 +1064,9 @@ func (db *DB) CacheStats() pager.Stats {
 // Metrics returns a snapshot of the engine metrics registry: query
 // counters and the latency histogram plus the source-folded pager, WAL,
 // and zone-map counters. Counter values are monotonic across snapshots.
-// The zero Snapshot is returned when metrics are disabled.
-func (db *DB) Metrics() obs.Snapshot {
-	if db.reg == nil {
-		return obs.Snapshot{}
-	}
-	return db.reg.Snapshot()
-}
+func (db *DB) Metrics() obs.Snapshot { return db.reg.Snapshot() }
 
-// Registry exposes the live metrics registry for the debug endpoint;
-// nil when Options.DisableMetrics is set.
+// Registry exposes the live metrics registry for the debug endpoint.
 func (db *DB) Registry() *obs.Registry { return db.reg }
 
 // SlowLog exposes the slow-query log for the debug endpoint; nil unless

@@ -43,11 +43,9 @@ type scanPlan struct {
 	// (conjunctRanges): inputs to both histogram costing and zone-map page
 	// pruning on the sequential path.
 	ranges []colRange
-	// EXPLAIN annotations for the I/O layer: zonemap reports that a
-	// sequential scan of this plan can prune pages through the table's
-	// zone maps; readahead is the configured prefetch distance.
-	zonemap   bool
-	readahead int
+	// zonemap is the EXPLAIN annotation that a sequential scan of this
+	// plan can prune pages through the table's zone maps.
+	zonemap bool
 	// trace, when non-nil, accumulates runtime row counters for EXPLAIN
 	// ANALYZE (see analyze.go). Plans are per-execution, so attaching a
 	// trace never leaks between queries; nil on every other path.
@@ -79,9 +77,6 @@ func (p *scanPlan) explain() string {
 		}
 	} else {
 		fmt.Fprintf(&sb, "INDEX SCAN %s ON %s %s", p.index.Name, p.schema.Name, p.detail)
-	}
-	if p.readahead > 0 {
-		fmt.Fprintf(&sb, " READAHEAD %d", p.readahead)
 	}
 	if p.filter != nil {
 		fmt.Fprintf(&sb, " FILTER %s", p.filter.String())
@@ -134,7 +129,6 @@ func buildPlan(db *DB, schema *tableSchema, where expr, args []Value, mode PlanM
 	}
 	plan.ranges = ranges
 	plan.zonemap = !db.opts.DisableZoneMaps && len(ranges) > 0
-	plan.readahead = db.opts.ReadAhead
 	// outSel: product of per-column histogram selectivities over every
 	// estimable conjunct (independence assumed).
 	outSel := combinedSel(ts, ranges, nil)

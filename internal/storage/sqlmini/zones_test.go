@@ -148,14 +148,14 @@ func TestZonePruningSkipsPages(t *testing.T) {
 
 // TestZoneExplain checks the EXPLAIN annotations for the new I/O layer.
 func TestZoneExplain(t *testing.T) {
-	db := openZoneDB(t, Options{ReadAhead: 8}, 1000)
+	db := openZoneDB(t, Options{}, 1000)
 	defer db.Close()
 	rows, err := db.QueryMode(PlanForceScan, "EXPLAIN SELECT * FROM f WHERE dv1 < 50")
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := rows.Data[0][0].S
-	want := "SEQ SCAN f ZONEMAP READAHEAD 8"
+	want := "SEQ SCAN f ZONEMAP FILTER"
 	if len(plan) < len(want) || plan[:len(want)] != want {
 		t.Fatalf("plan = %q, want prefix %q", plan, want)
 	}
@@ -165,7 +165,7 @@ func TestZoneExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan = rows.Data[0][0].S
-	want = "SEQ SCAN f READAHEAD 8"
+	want = "SEQ SCAN f FILTER"
 	if len(plan) < len(want) || plan[:len(want)] != want {
 		t.Fatalf("plan = %q, want prefix %q", plan, want)
 	}
