@@ -209,12 +209,12 @@ func traceCmd(args []string) (err error) {
 	defer joinClose(&err, st)
 
 	if *debugAddr != "" {
-		d, derr := obs.ServeDebug(*debugAddr, st.DB().Registry(), st.DB().SlowLog())
+		d, derr := obs.ServeDebug(*debugAddr, st.DB().Registry())
 		if derr != nil {
 			return derr
 		}
 		defer joinClose(&err, d)
-		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s (expvar, pprof, /metrics, /slow)\n", d.Addr())
+		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s (/metrics, /debug/vars, /debug/pprof/)\n", d.Addr())
 	}
 
 	var tr *obs.Trace

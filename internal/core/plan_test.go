@@ -8,6 +8,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -44,18 +46,15 @@ func expectedBranchPlans(kind feature.Kind) []branchPlan {
 	return out
 }
 
-// explainSearch runs EXPLAIN over the full search union for kind and
-// returns the plan rows.
-func explainSearch(t *testing.T, s *Store, kind feature.Kind, v float64) []string {
+// explainSearch runs EXPLAIN over the full search union for (kind, T, v)
+// and returns the plan rows.
+func explainSearch(t *testing.T, s *Store, kind feature.Kind, T int64, v float64) []string {
 	t.Helper()
-	qs := searchQueries(kind)
-	parts := make([]string, len(qs))
 	var args []sqlmini.Value
-	for i, q := range qs {
-		parts[i] = q.sql
-		args = append(args, q.args(3600, v)...)
+	for _, q := range searchQueries(kind) {
+		args = append(args, q.args(T, v)...)
 	}
-	rows, err := s.db.Query("EXPLAIN "+strings.Join(parts, " UNION "), args...)
+	rows, err := s.db.Query("EXPLAIN "+searchUnionSQL[kind], args...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,7 @@ func TestSearchUnionBranchPlans(t *testing.T) {
 		{feature.Drop, -3},
 		{feature.Jump, 3},
 	} {
-		lines := explainSearch(t, s, tc.kind, tc.v)
+		lines := explainSearch(t, s, tc.kind, 3600, tc.v)
 		want := expectedBranchPlans(tc.kind)
 		got := parseBranchPlans(t, lines, len(want))
 		for i := range want {
@@ -158,7 +157,7 @@ func TestSearchUnionBranchPlans(t *testing.T) {
 // TestSearchUnionFusion pins the fusion shape itself: branches sharing a
 // corner index collapse into one fused scan unit, so a drop search runs 6
 // scan units for its 9 branches (dropf2's and dropf3's c1/c2 point+line
-// pairs fuse), and disabling fusion restores one unit per branch.
+// pairs fuse), and every branch is attributed to exactly one unit.
 func TestSearchUnionFusion(t *testing.T) {
 	s, err := OpenMemory(Options{})
 	if err != nil {
@@ -166,30 +165,129 @@ func TestSearchUnionFusion(t *testing.T) {
 	}
 	defer s.Close()
 
-	lines := explainSearch(t, s, feature.Drop, -3)
-	fused, singleton := 0, 0
+	lines := explainSearch(t, s, feature.Drop, 3600, -3)
+	fused, singleton, members := 0, 0, 0
 	for _, l := range lines {
 		switch {
 		case strings.HasPrefix(l, "FUSED INDEX SCAN "):
 			fused++
 		case strings.HasPrefix(l, "INDEX SCAN "):
 			singleton++
+		case strings.HasPrefix(l, "  BRANCH "):
+			members++
 		}
 	}
 	if fused != 3 || singleton != 3 {
 		t.Errorf("drop search fusion shape: got %d fused units + %d singletons, want 3 + 3:\n%s",
 			fused, singleton, strings.Join(lines, "\n"))
 	}
+	if want := len(expectedBranchPlans(feature.Drop)); singleton+members != want {
+		t.Errorf("fused plan attributes %d branches, want %d:\n%s",
+			singleton+members, want, strings.Join(lines, "\n"))
+	}
+}
 
-	s2, err := OpenMemory(Options{DB: sqlmini.Options{DisableFusion: true}})
+// standaloneSearch is the reference the fused search UNION must match:
+// each branch of searchQueries(kind) run as a standalone SELECT — which
+// never fuses — and the results merged with the UNION's dedup and the
+// search's ordering.
+func standaloneSearch(t *testing.T, s *Store, kind feature.Kind, T int64, V float64, mode sqlmini.PlanMode) []Match {
+	t.Helper()
+	seen := map[Match]bool{}
+	out := []Match{}
+	for _, q := range searchQueries(kind) {
+		rows, err := s.db.QueryMode(mode, q.sql, q.args(T, V)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows.Data {
+			m := Match{TD: row[0].I, TC: row[1].I, TB: row[2].I, TA: row[3].I}
+			if !seen[m] {
+				seen[m] = true
+				out = append(out, m)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].TD != out[j].TD {
+			return out[i].TD < out[j].TD
+		}
+		return out[i].TB < out[j].TB
+	})
+	return out
+}
+
+// TestSearchMatchesStandaloneBranches checks the fused search UNION
+// against its branches run one by one, over a (T, V) grid, both kinds and
+// every plan mode.
+func TestSearchMatchesStandaloneBranches(t *testing.T) {
+	st := memStore(t, Options{Epsilon: 0.2, Window: 5000})
+	defer st.Close()
+	ingest(t, st, randomSeries(21, 500))
+	found := 0
+	for _, kind := range []feature.Kind{feature.Drop, feature.Jump} {
+		for _, T := range []int64{400, 5000} {
+			for _, mag := range []float64{1, 4} {
+				V := mag
+				if kind == feature.Drop {
+					V = -mag
+				}
+				for _, mode := range []sqlmini.PlanMode{sqlmini.PlanAuto, sqlmini.PlanForceScan, sqlmini.PlanForceIndex} {
+					got, err := st.SearchMode(kind, T, V, mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := standaloneSearch(t, st, kind, T, V, mode)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v T=%d V=%v mode=%v: fused search found %d matches, standalone branches %d",
+							kind, T, V, mode, len(got), len(want))
+					}
+					found += len(got)
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no grid point matched anything; the comparison was vacuous")
+	}
+}
+
+// TestPlansSurviveReopen checks that the planner statistics a store
+// derives at mount reproduce the ones its ingest built: after a reopen,
+// every estimate of both search UNIONs over a (T, V) grid — and therefore
+// every chosen access path — is unchanged.
+func TestPlansSurviveReopen(t *testing.T) {
+	grid := func(s *Store) []string {
+		var out []string
+		for _, kind := range []feature.Kind{feature.Drop, feature.Jump} {
+			for _, T := range []int64{300, 1200, 3000} {
+				for _, mag := range []float64{0.5, 2, 5} {
+					V := mag
+					if kind == feature.Drop {
+						V = -mag
+					}
+					out = append(out, explainSearch(t, s, kind, T, V)...)
+				}
+			}
+		}
+		return out
+	}
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Epsilon: 0.2, Window: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	lines2 := explainSearch(t, s2, feature.Drop, -3)
-	want := len(expectedBranchPlans(feature.Drop))
-	if len(lines2) != want {
-		t.Errorf("DisableFusion: got %d plan rows, want %d (one per branch):\n%s",
-			len(lines2), want, strings.Join(lines2, "\n"))
+	ingest(t, st, randomSeries(33, 900))
+	before := grid(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if after := grid(st); !reflect.DeepEqual(before, after) {
+		t.Fatalf("plans changed across a reopen:\nbefore: %q\nafter:  %q", before, after)
 	}
 }

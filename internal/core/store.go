@@ -703,10 +703,6 @@ func (s *Store) TraceSearch(kind feature.Kind, T int64, V float64, mode sqlmini.
 // writers.
 func (s *Store) Metrics() obs.Snapshot { return s.db.Metrics() }
 
-// SlowQueries returns the engine's slow-query ring buffer, oldest
-// first; nil unless Options.DB.SlowQuery is positive.
-func (s *Store) SlowQueries() []obs.SlowQuery { return s.db.SlowQueries() }
-
 // DropCache simulates a cold cache before a query (paper Sections 6.1–6.3
 // flush the OS cache before every query).
 func (s *Store) DropCache() error { return s.db.DropCache() }

@@ -15,8 +15,9 @@
 // It also judges the zone maps pruning relies on, which the engine derives
 // from the recovered heap pages at mount: after recovery, and again after
 // the resumed ingest, every page summary must cover the live rows of its
-// page, and a pruned forced-scan search must return exactly what the same
-// search returns from the same disk image with zone maps disabled.
+// page, and a pruned forced-scan search must return exactly what the
+// forced-index search — which never consults zone maps — returns from the
+// same disk image.
 //
 // The workload pins UnionWorkers and WriteWorkers to 1 so the engine's
 // file-operation sequence is a pure function of the workload: crash point
@@ -37,7 +38,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
-	"time"
 
 	"segdiff/internal/core"
 	"segdiff/internal/feature"
@@ -57,14 +57,6 @@ type Workload struct {
 	Batches int     // number of Sync'd ingest batches
 	T       int64   // drop-search span (seconds)
 	V       float64 // drop-search threshold (negative)
-	// Obs, when set, arms the observability layer as hard as a user can:
-	// the slow-query log records every query (threshold 1 ns) on top of
-	// the always-on metrics registry. Observability state is purely
-	// volatile — counters, histograms, and the slow log never touch the
-	// engine's files — so the op census and every recovered disk image
-	// must be identical with the knob on or off
-	// (TestCrashObsNoDivergence pins this).
-	Obs bool
 }
 
 // NewWorkload builds the scenario for a seed: half a day of 5-minute
@@ -87,10 +79,6 @@ func NewWorkload(seed int64) (*Workload, error) {
 // options wires a store to the fault registry. Single-threaded workers
 // make the engine's file-operation order deterministic.
 func (w *Workload) options(reg *faultfs.Registry) core.Options {
-	var slow time.Duration
-	if w.Obs {
-		slow = time.Nanosecond // every query lands in the slow log
-	}
 	return core.Options{
 		// A 2 h window (vs the 8 h default) bounds how many prior segments
 		// each new segment pairs with, keeping the feature volume — and the
@@ -100,7 +88,6 @@ func (w *Workload) options(reg *faultfs.Registry) core.Options {
 			FileFactory:  reg.Open,
 			UnionWorkers: 1,
 			WriteWorkers: 1,
-			SlowQuery:    slow,
 		},
 	}
 }
@@ -226,7 +213,7 @@ type CrashResult struct {
 	Recovered []core.Match // drop matches of the recovered store
 	// ZoneSkipped counts the heap pages the recovered store's pruned
 	// forced-scan search skipped: above zero somewhere in a matrix, or its
-	// pruned-equals-unpruned check never exercised pruning.
+	// pruned-equals-forced-index check never exercised pruning.
 	ZoneSkipped uint64
 	// Disk is the durable image after the recovered store closed, keyed
 	// by file base name — the determinism witness: equal crash points
@@ -308,26 +295,24 @@ func (w *Workload) crashAndRecover(dir string, k int64, res *CrashResult) (*core
 	return st2, boot, nil
 }
 
-// verifyUnpruned reopens a copy of disk's durable image with zone maps
-// disabled and checks that the forced-scan drop search returns exactly
-// pruned, the result the same image gave with pruning on.
+// verifyUnpruned reopens a copy of disk's durable image and checks that
+// the forced-index drop search, which never consults zone maps, returns
+// exactly pruned, the result the same image gave a pruned forced scan.
 func (w *Workload) verifyUnpruned(dir string, disk *faultfs.Registry, pruned []core.Match) error {
 	reg := faultfs.NewFromSnapshot(w.Seed, disk.Snapshot())
-	opts := w.options(reg)
-	opts.DB.DisableZoneMaps = true
-	st, err := core.Open(dir, opts)
+	st, err := core.Open(dir, w.options(reg))
 	if err != nil {
 		return err
 	}
-	plain, err := st.SearchMode(feature.Drop, w.T, w.V, sqlmini.PlanForceScan)
+	plain, err := st.SearchMode(feature.Drop, w.T, w.V, sqlmini.PlanForceIndex)
 	if err := errors.Join(err, st.Close()); err != nil {
 		return err
 	}
 	if n := reg.OpenHandles(); n != 0 {
-		return fmt.Errorf("unpruned reopen leaked %d file handles", n)
+		return fmt.Errorf("forced-index reopen leaked %d file handles", n)
 	}
 	if !slices.Equal(pruned, plain) {
-		return fmt.Errorf("ZONE MAP DIVERGENCE: pruned scan found %d matches %v, unpruned %d %v", len(pruned), pruned, len(plain), plain)
+		return fmt.Errorf("ZONE MAP DIVERGENCE: pruned scan found %d matches %v, forced-index search %d %v", len(pruned), pruned, len(plain), plain)
 	}
 	return nil
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // DebugServer is the opt-in HTTP debug endpoint: registry snapshots as
-// JSON under /metrics, the slow-query log under /slow, expvar under
-// /debug/vars, and the pprof profilers under /debug/pprof/. It binds
-// its own mux — nothing is registered on http.DefaultServeMux — so
-// embedding the engine never exposes profiling unless asked to.
+// JSON under /metrics, expvar under /debug/vars, and the pprof profilers
+// under /debug/pprof/. It binds its own mux — nothing is registered on
+// http.DefaultServeMux — so embedding the engine never exposes profiling
+// unless asked to.
 type DebugServer struct {
 	ln     net.Listener
 	srv    *http.Server
@@ -21,23 +21,21 @@ type DebugServer struct {
 }
 
 // DebugMux builds the debug route set on a fresh mux: registry
-// snapshots as JSON under /metrics, the slow-query log under /slow,
-// expvar under /debug/vars, and the pprof profilers under
-// /debug/pprof/. The slow log may be nil. Callers that already run an
-// HTTP listener (cmd/segdiffd) mount these routes on their own mux;
+// snapshots as JSON under /metrics, the slow log under /slow when one is
+// given (nil mounts no /slow), expvar under /debug/vars, and the pprof
+// profilers under /debug/pprof/. Callers that already run an HTTP
+// listener (cmd/segdiffd) mount these routes on their own mux;
 // ServeDebug wraps them in a standalone server.
 func DebugMux(reg *Registry, slow *SlowLog) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, reg.Snapshot())
 	})
-	mux.HandleFunc("/slow", func(w http.ResponseWriter, _ *http.Request) {
-		var entries []SlowQuery
-		if slow != nil {
-			entries = slow.Entries()
-		}
-		writeJSON(w, entries)
-	})
+	if slow != nil {
+		mux.HandleFunc("/slow", func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, slow.Entries())
+		})
+	}
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -47,18 +45,17 @@ func DebugMux(reg *Registry, slow *SlowLog) *http.ServeMux {
 	return mux
 }
 
-// ServeDebug starts a debug server on addr (for example "127.0.0.1:0"
-// to pick a free port; the chosen address is available from Addr). The
-// slow log may be nil. The server runs until Close.
-func ServeDebug(addr string, reg *Registry, slow *SlowLog) (*DebugServer, error) {
+// ServeDebug starts a debug server for reg on addr (for example
+// "127.0.0.1:0" to pick a free port; the chosen address is available from
+// Addr). It has no /slow route. The server runs until Close.
+func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	mux := DebugMux(reg, slow)
 	d := &DebugServer{
 		ln:     ln,
-		srv:    &http.Server{Handler: mux},
+		srv:    &http.Server{Handler: DebugMux(reg, nil)},
 		served: make(chan error, 1),
 	}
 	go func() { d.served <- d.srv.Serve(ln) }()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -32,10 +33,8 @@ func getBody(t *testing.T, url string) []byte {
 func TestDebugServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("engine.queries").Add(3)
-	slow := NewSlowLog(0, 4)
-	slow.Note(SlowQuery{SQL: "SELECT 1", Wall: time.Second, Rows: 1})
 
-	d, err := ServeDebug("127.0.0.1:0", reg, slow)
+	d, err := ServeDebug("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +53,6 @@ func TestDebugServerEndpoints(t *testing.T) {
 		t.Fatalf("metrics snapshot = %+v", snap)
 	}
 
-	var entries []SlowQuery
-	if err := json.Unmarshal(getBody(t, base+"/slow"), &entries); err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].SQL != "SELECT 1" {
-		t.Fatalf("slow entries = %+v", entries)
-	}
-
 	// expvar and the pprof index must respond; their bodies are owned by
 	// the stdlib, presence is enough.
 	if len(getBody(t, base+"/debug/vars")) == 0 {
@@ -72,8 +63,11 @@ func TestDebugServerEndpoints(t *testing.T) {
 	}
 }
 
+// TestDebugServerNilSlowLog checks that the slow log is opt-in: a mux
+// built without one, which is what ServeDebug serves, has no /slow route,
+// and a mux built with one serves its entries there.
 func TestDebugServerNilSlowLog(t *testing.T) {
-	d, err := ServeDebug("127.0.0.1:0", NewRegistry(), nil)
+	d, err := ServeDebug("127.0.0.1:0", NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +76,32 @@ func TestDebugServerNilSlowLog(t *testing.T) {
 			t.Error(cerr)
 		}
 	}()
-	var entries []SlowQuery
-	if err := json.Unmarshal(getBody(t, "http://"+d.Addr()+"/slow"), &entries); err != nil {
+	resp, err := http.Get("http://" + d.Addr() + "/slow")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 {
-		t.Fatalf("entries = %+v", entries)
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /slow without a slow log: %s, want 404", resp.Status)
+	}
+
+	slow := NewSlowLog(0, 4)
+	slow.Note(SlowQuery{SQL: "SELECT 1", Wall: time.Second, Rows: 1})
+	srv := httptest.NewServer(DebugMux(NewRegistry(), slow))
+	defer srv.Close()
+	var entries []SlowQuery
+	if err := json.Unmarshal(getBody(t, srv.URL+"/slow"), &entries); err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].SQL != "SELECT 1" {
+		t.Fatalf("slow entries = %+v", entries)
 	}
 }
 
 func TestDebugServerBadAddr(t *testing.T) {
-	if _, err := ServeDebug("256.0.0.1:bogus", NewRegistry(), nil); err == nil {
+	if _, err := ServeDebug("256.0.0.1:bogus", NewRegistry()); err == nil {
 		t.Fatal("expected listen error")
 	}
 }

@@ -1,8 +1,8 @@
 // Package obs is the engine's observability layer: a metrics registry of
 // atomic counters, gauges, and fixed-bucket latency histograms; a
-// per-query execution Trace produced by EXPLAIN ANALYZE; a ring-buffer
-// slow-query log; and an opt-in HTTP debug endpoint (expvar + pprof +
-// registry snapshots).
+// per-query execution Trace produced by EXPLAIN ANALYZE; the ring-buffer
+// slow log behind segdiffd's slow-request log; and an opt-in HTTP debug
+// endpoint (expvar + pprof + registry snapshots).
 //
 // The package is stdlib-only and allocation-free on the hot path: metric
 // cells are padded atomics (one cache line each, like the pager's stat

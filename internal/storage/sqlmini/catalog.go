@@ -33,15 +33,14 @@ type indexSchema struct {
 }
 
 // catalog is the schema registry, persisted as JSON in on-disk databases
-// by DDL, checkpoint and Close — never by a commit, whose cost must not
-// grow with the store. Stats (stats.go) is advisory: a stale or missing
-// entry degrades plan quality, never correctness. Zone maps, which pruning
-// relies on, live elsewhere (zones.go); an old file's "zones" key is ignored.
+// by DDL only — never by a commit, whose cost must not grow with the
+// store. Everything derivable from the data files is derived at mount
+// instead: planner statistics (stats.go) and zone maps (zones.go). An old
+// file's "stats" and "zones" keys are ignored.
 type catalog struct {
 	Tables     map[string]*tableSchema `json:"tables"`
 	Indexes    map[string]*indexSchema `json:"indexes"`
 	NextFileID uint16                  `json:"next_file_id"`
-	Stats      map[string]*tableStats  `json:"stats,omitempty"`
 }
 
 func newCatalog() *catalog {
@@ -71,7 +70,7 @@ func (c *catalog) indexesOn(table string) []*indexSchema {
 const catalogFile = "catalog.json"
 
 // saveCatalog atomically (write + rename) replaces the catalog file (a
-// no-op in memory mode); statistics stay marked dirty unless it succeeds.
+// no-op in memory mode).
 //
 // locks: db.mu
 func (db *DB) saveCatalog() error {
@@ -89,7 +88,6 @@ func (db *DB) saveCatalog() error {
 	if err := os.Rename(tmp, filepath.Join(db.dir, catalogFile)); err != nil {
 		return err
 	}
-	db.statsDirty = false
 	db.catalogSaves.Add(1)
 	db.catalogBytes.Add(uint64(len(data)))
 	return nil

@@ -24,9 +24,6 @@ type Options struct {
 	// PoolPages is the buffer pool capacity per file, in pages
 	// (default pager.DefaultCapacity).
 	PoolPages int
-	// CheckpointBytes triggers an automatic checkpoint when the WAL grows
-	// past this size (default 64 MiB). Only meaningful on disk.
-	CheckpointBytes int64
 	// UnionWorkers bounds how many UNION branches a query evaluates
 	// concurrently (default runtime.GOMAXPROCS(0); 1 runs branches
 	// sequentially). The paper's drop/jump search is a union of ~10
@@ -39,36 +36,20 @@ type Options struct {
 	// table carries one index per parallelogram corner, so this is the
 	// write path's counterpart to UnionWorkers.
 	WriteWorkers int
-	// DisableFusion turns off the fused shared-scan union executor: every
-	// UNION branch runs its own index descent or heap pass, as before the
-	// fusion pass existed. Results are identical either way; the property
-	// tests run this branch-at-a-time path as the reference the fused
-	// executor must match.
-	DisableFusion bool
-	// DisableZoneMaps turns off zone-map page pruning on sequential and
-	// fused-sequential scans (zones are still maintained on the write
-	// path). Results are identical either way; the knob exists for the
-	// pruned-vs-unpruned identity checks and A/B benchmarking.
-	DisableZoneMaps bool
 	// FileFactory, when non-nil, opens every backing file of an on-disk
 	// database — heap tables, B+tree indexes, and the write-ahead log —
 	// in place of the default OS file. The crash harness injects
 	// faultfs here so scripted write/sync failures and power cuts cover
 	// the entire durability path. Ignored by in-memory databases.
 	FileFactory func(path string) (pager.File, error)
-	// SlowQuery enables the ring-buffer slow-query log: every query whose
-	// wall time reaches the threshold is retained (see DB.SlowQueries).
-	// 0 (the default) disables the log. Observability state is purely
-	// volatile — nothing recorded here is ever written to disk.
-	SlowQuery time.Duration
 }
+
+// autoCheckpointSize is the WAL size past which a commit checkpoints.
+const autoCheckpointSize = 64 << 20
 
 func (o Options) normalize() Options {
 	if o.PoolPages <= 0 {
 		o.PoolPages = pager.DefaultCapacity
-	}
-	if o.CheckpointBytes <= 0 {
-		o.CheckpointBytes = 64 << 20
 	}
 	if o.UnionWorkers <= 0 {
 		o.UnionWorkers = runtime.GOMAXPROCS(0)
@@ -83,6 +64,7 @@ type tableHandle struct {
 	pg    *pager.Pager
 	h     *heap.Heap
 	zones *tableZones // derived from the heap at mount; see zones.go
+	stats *tableStats // derived from the heap at mount; see stats.go
 	path  string
 }
 
@@ -112,11 +94,9 @@ type DB struct {
 	log     *wal.Log                // nil in memory mode; set once at open
 	inBatch bool                    // guarded by mu
 	closed  bool                    // guarded by mu
-	// statsDirty marks planner statistics (catalog.Stats) changed since the
-	// last successful catalog save; the next checkpoint or Close saves them.
-	statsDirty bool // guarded by mu
-	// committedStats copies catalog.Stats at each commit, for AbortBatch.
-	committedStats map[string]*tableStats // guarded by mu
+	// checkpointBytes is the WAL size past which a commit checkpoints;
+	// set once at open.
+	checkpointBytes int64
 	// zoneSkipped counts heap pages skipped by zone-map pruning; atomic
 	// because queries increment it under the shared lock. The other two
 	// count catalog.json rewrites for registry snapshots.
@@ -124,14 +104,12 @@ type DB struct {
 	catalogSaves atomic.Uint64
 	catalogBytes atomic.Uint64
 
-	// Observability. reg, slow, and met are created once at open (before
-	// the DB is shared) and immutable afterwards; slow is nil unless
-	// Options.SlowQuery is positive. obsPagers is a dedicated list of
+	// Observability. reg and met are created once at open (before the DB
+	// is shared) and immutable afterwards. obsPagers is a dedicated list of
 	// every mounted pager under its own obsMu rather than db.mu, so
 	// CacheStats and registry snapshots read live counters even while a
 	// batched write holds the writer lock for its whole duration.
 	reg       *obs.Registry
-	slow      *obs.SlowLog
 	met       dbMetrics
 	obsMu     sync.Mutex
 	obsPagers []*pager.Pager // guarded by obsMu
@@ -143,24 +121,19 @@ type dbMetrics struct {
 	queries      *obs.Counter
 	queryErrs    *obs.Counter
 	rowsReturned *obs.Counter
-	slowQueries  *obs.Counter
 	queryNS      *obs.Histogram
 }
 
-// initObs creates the metrics registry and slow-query log per the
-// options and registers the snapshot-time sources for counters that
-// live in other subsystems. Called once at open, before the DB is
-// shared; the WAL source is registered separately once the log exists.
+// initObs creates the metrics registry and registers the snapshot-time
+// sources for counters that live in other subsystems. Called once at
+// open, before the DB is shared; the WAL source is registered separately
+// once the log exists.
 func (db *DB) initObs() {
-	if db.opts.SlowQuery > 0 {
-		db.slow = obs.NewSlowLog(db.opts.SlowQuery, 0)
-	}
 	db.reg = obs.NewRegistry()
 	db.met = dbMetrics{
 		queries:      db.reg.Counter("engine.queries"),
 		queryErrs:    db.reg.Counter("engine.query_errors"),
 		rowsReturned: db.reg.Counter("engine.rows_returned"),
-		slowQueries:  db.reg.Counter("engine.slow_queries"),
 		queryNS:      db.reg.Histogram("engine.query_ns"),
 	}
 	db.reg.Gauge("engine.union_workers").Set(int64(db.opts.UnionWorkers))
@@ -193,12 +166,13 @@ func (db *DB) initObsWAL(lg *wal.Log) {
 // OpenMemory returns an in-memory database (no durability, no WAL).
 func OpenMemory(opts Options) *DB {
 	db := &DB{
-		dir:     "",
-		opts:    opts.normalize(),
-		catalog: newCatalog(),
-		tables:  map[string]*tableHandle{},
-		indexes: map[string]*indexHandle{},
-		files:   map[uint16]pager.File{},
+		dir:             "",
+		opts:            opts.normalize(),
+		catalog:         newCatalog(),
+		tables:          map[string]*tableHandle{},
+		indexes:         map[string]*indexHandle{},
+		files:           map[uint16]pager.File{},
+		checkpointBytes: autoCheckpointSize,
 	}
 	db.initObs()
 	return db
@@ -217,14 +191,13 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		dir:     dir,
-		opts:    opts.normalize(),
-		catalog: cat,
-		tables:  map[string]*tableHandle{},
-		indexes: map[string]*indexHandle{},
-		files:   map[uint16]pager.File{},
-		// Until the first commit, "committed" is what the catalog held.
-		committedStats: cloneStats(cat.Stats),
+		dir:             dir,
+		opts:            opts.normalize(),
+		catalog:         cat,
+		tables:          map[string]*tableHandle{},
+		indexes:         map[string]*indexHandle{},
+		files:           map[uint16]pager.File{},
+		checkpointBytes: autoCheckpointSize,
 	}
 	db.initObs()
 
@@ -391,25 +364,27 @@ func (db *DB) newPager(f pager.File) (*pager.Pager, error) {
 	return pg, nil
 }
 
-// openHeap opens th's heap and derives its zone maps from the live rows on
-// the same page pass, so every mounted table — after a clean open, a crash
-// recovery or a batch abort alike — has summaries that cover it exactly.
+// openHeap opens th's heap and derives its zone maps and planner
+// statistics from the live rows on the same page pass, so every mounted
+// table — after a clean open, a crash recovery or a batch abort alike —
+// has summaries that cover it exactly.
 //
 // locks: db.mu
 func (db *DB) openHeap(t *tableSchema, th *tableHandle) error {
-	zones := newTableZones(t)
+	zones, stats := newTableZones(t), newTableStats(t)
 	vals := make([]Value, len(t.Cols))
 	h, err := heap.OpenVisit(th.pg, func(rid heap.RID, rec []byte) error {
 		if _, err := decodeRowInto(t, rec, vals); err != nil {
 			return err
 		}
 		zones.note(rid.Page, vals)
+		stats.note(vals)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	th.h, th.zones = h, zones
+	th.h, th.zones, th.stats = h, zones, stats
 	return nil
 }
 
@@ -622,7 +597,7 @@ func (db *DB) QueryModeContext(ctx context.Context, mode PlanMode, sql string, a
 	if err != nil {
 		return nil, err
 	}
-	return db.observedQuery(ctx, st, sql, args, mode)
+	return db.observedQuery(ctx, st, args, mode)
 }
 
 // ctxErr reports why a query's context is done, nil while it is live.
@@ -638,20 +613,20 @@ func ctxErr(ctx context.Context) error {
 }
 
 // observedQuery runs one parsed read statement under the shared lock,
-// feeding the always-on query metrics and the slow-query log.
-func (db *DB) observedQuery(ctx context.Context, st stmt, sql string, args []Value, mode PlanMode) (*Rows, error) {
+// feeding the always-on query metrics.
+func (db *DB) observedQuery(ctx context.Context, st stmt, args []Value, mode PlanMode) (*Rows, error) {
 	start := time.Now()
 	rows, err := func() (*Rows, error) {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
 		return db.queryLocked(ctx, st, args, mode)
 	}()
-	db.noteQuery(sql, time.Since(start), rows, err)
+	db.noteQuery(time.Since(start), rows, err)
 	return rows, err
 }
 
-// noteQuery records one finished query on the registry and slow log.
-func (db *DB) noteQuery(sql string, wall time.Duration, rows *Rows, err error) {
+// noteQuery records one finished query on the registry.
+func (db *DB) noteQuery(wall time.Duration, rows *Rows, err error) {
 	n := 0
 	if rows != nil {
 		n = rows.Len()
@@ -661,15 +636,6 @@ func (db *DB) noteQuery(sql string, wall time.Duration, rows *Rows, err error) {
 	db.met.rowsReturned.Add(uint64(n))
 	if err != nil {
 		db.met.queryErrs.Inc()
-	}
-	if db.slow != nil {
-		q := obs.SlowQuery{SQL: sql, Wall: wall, Rows: n, When: time.Now()}
-		if err != nil {
-			q.Err = err.Error()
-		}
-		if db.slow.Note(q) {
-			db.met.slowQueries.Inc()
-		}
 	}
 }
 
@@ -761,9 +727,8 @@ func (db *DB) explain(s explainStmt, args []Value, mode PlanMode) (*Rows, error)
 
 // Stmt is a prepared statement: parsed once, executable many times.
 type Stmt struct {
-	db  *DB
-	st  stmt
-	sql string // original text, for the slow-query log
+	db *DB
+	st stmt
 }
 
 // Prepare parses sql into a reusable statement.
@@ -772,7 +737,7 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{db: db, st: st, sql: sql}, nil
+	return &Stmt{db: db, st: st}, nil
 }
 
 // Exec executes a prepared DDL/INSERT/DELETE.
@@ -845,7 +810,7 @@ func (s *Stmt) QueryMode(mode PlanMode, args ...Value) (*Rows, error) {
 // QueryModeContext is QueryMode under a context; see
 // DB.QueryModeContext for the cancellation contract.
 func (s *Stmt) QueryModeContext(ctx context.Context, mode PlanMode, args ...Value) (*Rows, error) {
-	return s.db.observedQuery(ctx, s.st, s.sql, args, mode)
+	return s.db.observedQuery(ctx, s.st, args, mode)
 }
 
 // BeginBatch suspends per-statement commits: subsequent writes become
@@ -910,8 +875,7 @@ func (db *DB) AbortBatch() error {
 	}); err != nil {
 		return fmt.Errorf("sqlmini: abort: %w", err)
 	}
-	// Statistics go back to the last commit; the remount derives zone maps.
-	db.catalog.Stats = cloneStats(db.committedStats)
+	// The remount derives zone maps and statistics from the committed rows.
 	for _, name := range db.sortedTableNames() {
 		th := db.tables[name]
 		if err := th.pg.Discard(); err != nil {
@@ -977,12 +941,11 @@ func (db *DB) commitLocked() error {
 	if err := db.log.Commit(); err != nil {
 		return err
 	}
-	db.committedStats = cloneStats(db.catalog.Stats)
 	sz, err := db.log.Size()
 	if err != nil {
 		return err
 	}
-	if sz > db.opts.CheckpointBytes {
+	if sz > db.checkpointBytes {
 		return db.checkpointLocked()
 	}
 	return nil
@@ -995,9 +958,8 @@ func (db *DB) Checkpoint() error {
 	return db.checkpointLocked()
 }
 
-// checkpointLocked syncs every data file, truncates the WAL and saves the
-// catalog if statistics changed since the last save. Open also calls it
-// once before the DB is published.
+// checkpointLocked syncs every data file and truncates the WAL. Open also
+// calls it once before the DB is published.
 //
 // locks: db.mu
 func (db *DB) checkpointLocked() error {
@@ -1012,12 +974,7 @@ func (db *DB) checkpointLocked() error {
 		}
 	}
 	if db.log != nil {
-		if err := db.log.Truncate(); err != nil {
-			return err
-		}
-	}
-	if db.statsDirty {
-		return db.saveCatalog()
+		return db.log.Truncate()
 	}
 	return nil
 }
@@ -1068,19 +1025,6 @@ func (db *DB) Metrics() obs.Snapshot { return db.reg.Snapshot() }
 
 // Registry exposes the live metrics registry for the debug endpoint.
 func (db *DB) Registry() *obs.Registry { return db.reg }
-
-// SlowLog exposes the slow-query log for the debug endpoint; nil unless
-// Options.SlowQuery is positive.
-func (db *DB) SlowLog() *obs.SlowLog { return db.slow }
-
-// SlowQueries returns the retained slow-query records, oldest first
-// (empty unless Options.SlowQuery enabled the log).
-func (db *DB) SlowQueries() []obs.SlowQuery {
-	if db.slow == nil {
-		return nil
-	}
-	return db.slow.Entries()
-}
 
 // TableSizeBytes returns the heap file size of a table — the paper's
 // "feature size" metric when the table holds extracted features.

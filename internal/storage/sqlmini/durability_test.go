@@ -166,11 +166,12 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 
 func TestAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{PoolPages: 64, CheckpointBytes: 16 << 10})
+	db, err := Open(dir, Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	db.checkpointBytes = 16 << 10
 	mustExec(t, db, "CREATE TABLE ac (a INT)")
 	// Each commit logs at least one 4 KiB page, so a handful of commits
 	// crosses the 16 KiB threshold and auto-checkpoints.

@@ -498,11 +498,10 @@ func (db *DB) insertRow(schema *tableSchema, vals []Value) error {
 //
 // locks: db.mu
 func (db *DB) noteInserted(schema *tableSchema, rows [][]Value, rids []heap.RID) {
-	db.catalog.noteInsert(schema, rows)
-	db.statsDirty = true
-	zones := db.tables[schema.Name].zones
+	th := db.tables[schema.Name]
 	for i, vals := range rows {
-		zones.note(rids[i].Page, vals)
+		th.zones.note(rids[i].Page, vals)
+		th.stats.note(vals)
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 // branch-at-a-time execution.
 
 // scanUnit is one executable group of UNION branches. A solo unit wraps a
-// branch the fusion pass cannot handle (aggregates, ORDER BY, LIMIT, or
-// fusion disabled) and runs through the ordinary SELECT path; a fused
+// branch the fusion pass cannot handle (aggregates, ORDER BY or LIMIT)
+// and runs through the ordinary SELECT path; a fused
 // unit shares one scan across all member branches.
 type scanUnit struct {
 	solo   bool
@@ -48,7 +48,7 @@ func (db *DB) buildUnionUnits(st unionStmt, args []Value, mode PlanMode) ([]*sca
 	var units []*scanUnit
 	byKey := map[string]*scanUnit{}
 	for i, b := range st.branches {
-		solo := db.opts.DisableFusion || len(b.orderBy) > 0 || b.limit >= 0
+		solo := len(b.orderBy) > 0 || b.limit >= 0
 		if !solo {
 			for _, e := range b.exprs {
 				if hasAggregate(e) {

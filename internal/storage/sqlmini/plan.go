@@ -103,11 +103,11 @@ const (
 
 // buildPlan selects the access path for (table, where) under mode. The
 // statement arguments are available, so placeholder bounds participate in
-// planning (plans are built per execution). When the catalog carries
-// statistics for the table, PlanAuto costs the sequential scan against the
-// best index scan and picks the cheaper one; without statistics it falls
-// back to the structural heuristic (use an index whenever a range bound
-// exists).
+// planning (plans are built per execution). When the table's statistics
+// cover the bound columns, PlanAuto costs the sequential scan against the
+// best index scan and picks the cheaper one; without them (an empty table)
+// it falls back to the structural heuristic (use an index whenever a range
+// bound exists).
 //
 // locks: db.mu (any)
 func buildPlan(db *DB, schema *tableSchema, where expr, args []Value, mode PlanMode) (*scanPlan, error) {
@@ -116,10 +116,11 @@ func buildPlan(db *DB, schema *tableSchema, where expr, args []Value, mode PlanM
 	conjs := splitConjuncts(where)
 	b := &binding{args: args}
 
-	ts := c.Stats[schema.Name]
+	var ts *tableStats
 	var tableRows int64
 	var heapPages float64
 	if th := db.tables[schema.Name]; th != nil {
+		ts = th.stats
 		tableRows = int64(th.h.Len())
 		heapPages = float64(th.pg.NumPages())
 	}
@@ -128,7 +129,7 @@ func buildPlan(db *DB, schema *tableSchema, where expr, args []Value, mode PlanM
 		return nil, err
 	}
 	plan.ranges = ranges
-	plan.zonemap = !db.opts.DisableZoneMaps && len(ranges) > 0
+	plan.zonemap = len(ranges) > 0
 	// outSel: product of per-column histogram selectivities over every
 	// estimable conjunct (independence assumed).
 	outSel := combinedSel(ts, ranges, nil)

@@ -4,32 +4,33 @@ import "math"
 
 // Planner statistics. Each table carries, per numeric column, min/max
 // bounds plus a shallow equi-width histogram (the row count is the heap's
-// own live count). They are maintained incrementally on the write path and
-// feed the cost model that chooses between a sequential scan and an index
-// range scan per query — the crossover of the paper's Figures 17–24,
-// derived from data instead of a hardcoded heuristic.
+// own live count). They feed the cost model that chooses between a
+// sequential scan and an index range scan per query — the crossover of the
+// paper's Figures 17–24, derived from data instead of a hardcoded
+// heuristic.
 //
-// They are saved with the catalog at checkpoint and Close only, never on
-// the commit path; AbortBatch rolls them back to the in-memory copy taken
-// at the last commit (DB.committedStats), not from disk. The numbers are
-// advisory: deletes leave them alone (bounds and histograms
-// over-approximate), and after a crash the saved copy trails the replayed
-// data by up to one checkpoint interval. The planner tolerates that — a
-// bad estimate costs performance, never correctness.
+// Like zone maps (zones.go), statistics are derived state of a mounted
+// table and are never written anywhere: mount (Open, CREATE TABLE and the
+// AbortBatch remount) folds every live row into them on the heap.OpenVisit
+// pass, and inserts keep folding new rows in. Rows are folded in heap
+// order either way, so an insert-only table mounts to exactly the
+// statistics its inserts built. Deletes leave them alone (bounds and
+// histograms over-approximate) until the next mount. The planner tolerates
+// that — a bad estimate costs performance, never correctness.
 
 // histBuckets is the histogram resolution. 32 buckets distinguish the
 // selective dt ≤ T prefix ranges of the search workload from unselective
-// ones while keeping the catalog entry small.
+// ones while keeping each column's entry small.
 const histBuckets = 32
 
 // colHist is an equi-width histogram over [Lo, Hi]. When a value lands
 // outside the current range the range widens and existing counts are
 // redistributed proportionally — approximate, but adequate for costing.
 type colHist struct {
-	Lo    float64            `json:"lo"`
-	Hi    float64            `json:"hi"`
-	N     [histBuckets]int64 `json:"n"`
-	Total int64              `json:"total"`
+	Lo    float64
+	Hi    float64
+	N     [histBuckets]int64
+	Total int64
 }
 
 // add records one value, widening the bucket range if needed. The range
@@ -167,9 +168,9 @@ func (h *colHist) selRange(lo, hi float64) float64 {
 
 // colStats are the per-column statistics of one numeric column.
 type colStats struct {
-	Min  float64  `json:"min"`
-	Max  float64  `json:"max"`
-	Hist *colHist `json:"hist,omitempty"`
+	Min  float64
+	Max  float64
+	Hist *colHist
 }
 
 func (cs *colStats) add(v float64) {
@@ -186,59 +187,34 @@ func (cs *colStats) add(v float64) {
 	cs.Hist.add(v)
 }
 
-// tableStats aggregates the statistics of one table.
+// tableStats holds the statistics of one table's numeric columns: Cols
+// by name for the planner, byCol (schema order, nil for TEXT) for the
+// row fold.
 type tableStats struct {
-	Cols map[string]*colStats `json:"cols,omitempty"`
+	Cols  map[string]*colStats
+	byCol []*colStats
 }
 
-// cloneStats deep-copies every table's statistics.
-func cloneStats(stats map[string]*tableStats) map[string]*tableStats {
-	out := make(map[string]*tableStats, len(stats))
-	for table, ts := range stats {
-		c := &tableStats{Cols: make(map[string]*colStats, len(ts.Cols))}
-		for name, cs := range ts.Cols {
-			col := *cs
-			if cs.Hist != nil {
-				h := *cs.Hist
-				col.Hist = &h
-			}
-			c.Cols[name] = &col
+func newTableStats(schema *tableSchema) *tableStats {
+	ts := &tableStats{Cols: map[string]*colStats{}, byCol: make([]*colStats, len(schema.Cols))}
+	for i, col := range schema.Cols {
+		if col.Type != TextType {
+			ts.byCol[i] = &colStats{}
+			ts.Cols[col.Name] = ts.byCol[i]
 		}
-		out[table] = c
-	}
-	return out
-}
-
-// statsFor returns (creating if needed) the statistics entry for a table.
-func (c *catalog) statsFor(table string) *tableStats {
-	if c.Stats == nil {
-		c.Stats = map[string]*tableStats{}
-	}
-	ts := c.Stats[table]
-	if ts == nil {
-		ts = &tableStats{Cols: map[string]*colStats{}}
-		c.Stats[table] = ts
 	}
 	return ts
 }
 
-// noteInsert folds freshly inserted rows into the table's statistics.
-// Callers hold the engine's writer lock (the catalog is guarded by it).
-func (c *catalog) noteInsert(schema *tableSchema, rows [][]Value) {
-	ts := c.statsFor(schema.Name)
-	for _, vals := range rows {
-		for i, col := range schema.Cols {
-			if col.Type == TextType {
-				continue // TEXT columns carry no numeric statistics
-			}
-			cs := ts.Cols[col.Name]
-			if cs == nil {
-				cs = &colStats{}
-				ts.Cols[col.Name] = cs
-			}
-			v, _ := vals[i].AsReal()
-			cs.add(v)
+// note folds one row into the statistics. Callers hold the engine's
+// writer lock (or are mounting the table, before it is shared).
+func (ts *tableStats) note(vals []Value) {
+	for i, cs := range ts.byCol {
+		if cs == nil {
+			continue // TEXT columns carry no numeric statistics
 		}
+		v, _ := vals[i].AsReal()
+		cs.add(v)
 	}
 }
 

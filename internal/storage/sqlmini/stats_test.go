@@ -3,6 +3,9 @@ package sqlmini
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -86,10 +89,7 @@ func TestStatsMaintenance(t *testing.T) {
 		mustExec(t, db, "INSERT INTO t VALUES (?, ?, ?)",
 			Int(int64(i)), Real(float64(i)/2), Text("x"))
 	}
-	ts := db.catalog.Stats["t"]
-	if ts == nil {
-		t.Fatal("no statistics for t")
-	}
+	ts := db.tables["t"].stats
 	if cs := ts.Cols["a"]; cs == nil || cs.Min != 0 || cs.Max != 49 {
 		t.Errorf("col a stats = %+v, want min 0 max 49", cs)
 	}
@@ -177,48 +177,162 @@ func TestExplainFusedGolden(t *testing.T) {
 
 // TestFusedUnionIdentity checks, at the engine level, that fused
 // execution returns byte-identical results to branch-at-a-time execution
-// for unions whose branches overlap, nest, and miss entirely.
+// for unions whose branches overlap, nest, and miss entirely. The
+// reference runs each branch as a standalone SELECT — the solo path,
+// which never fuses — and merges the results with the UNION's own dedup.
 func TestFusedUnionIdentity(t *testing.T) {
-	mk := func(opts Options) *DB {
-		db := OpenMemory(opts)
-		mustExec(t, db, "CREATE TABLE t (a INT, b REAL)")
-		mustExec(t, db, "CREATE INDEX t_a ON t (a, b)")
-		for i := 0; i < 300; i++ {
-			mustExec(t, db, "INSERT INTO t VALUES (?, ?)", Int(int64(i%100)), Real(float64(i)/3))
-		}
-		return db
+	db := OpenMemory(Options{})
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE t (a INT, b REAL)")
+	mustExec(t, db, "CREATE INDEX t_a ON t (a, b)")
+	for i := 0; i < 300; i++ {
+		mustExec(t, db, "INSERT INTO t VALUES (?, ?)", Int(int64(i%100)), Real(float64(i)/3))
 	}
-	fused := mk(Options{})
-	defer fused.Close()
-	branch := mk(Options{DisableFusion: true})
-	defer branch.Close()
 
-	queries := []struct {
+	type branch struct {
 		sql  string
 		args []Value
-	}{
-		{"SELECT a, b FROM t WHERE a <= ? UNION SELECT a, b FROM t WHERE a <= ? AND b >= ?",
-			[]Value{Int(50), Int(80), Real(30)}},
-		{"SELECT a FROM t WHERE a <= ? UNION SELECT a FROM t WHERE a >= ? UNION SELECT a FROM t WHERE a = ?",
-			[]Value{Int(10), Int(90), Int(50)}},
-		{"SELECT b FROM t WHERE a = ? UNION SELECT b FROM t WHERE a = ?",
-			[]Value{Int(5), Int(500)}}, // second branch matches nothing
+	}
+	unions := [][]branch{
+		{{"SELECT a, b FROM t WHERE a <= ?", []Value{Int(50)}},
+			{"SELECT a, b FROM t WHERE a <= ? AND b >= ?", []Value{Int(80), Real(30)}}},
+		{{"SELECT a FROM t WHERE a <= ?", []Value{Int(10)}},
+			{"SELECT a FROM t WHERE a >= ?", []Value{Int(90)}},
+			{"SELECT a FROM t WHERE a = ?", []Value{Int(50)}}},
+		{{"SELECT b FROM t WHERE a = ?", []Value{Int(5)}},
+			{"SELECT b FROM t WHERE a = ?", []Value{Int(500)}}}, // matches nothing
 	}
 	for _, mode := range []PlanMode{PlanAuto, PlanForceScan, PlanForceIndex} {
-		for qi, q := range queries {
-			a, err := fused.QueryMode(mode, q.sql, q.args...)
-			if err != nil {
-				t.Fatalf("mode %v query %d fused: %v", mode, qi, err)
+		for ui, branches := range unions {
+			var sqls []string
+			var args []Value
+			solo := make([]*Rows, len(branches))
+			for i, b := range branches {
+				sqls = append(sqls, b.sql)
+				args = append(args, b.args...)
+				solo[i] = mustQueryMode(t, db, mode, b.sql, b.args...)
 			}
-			b, err := branch.QueryMode(mode, q.sql, q.args...)
+			want, err := mergeUnion(solo)
 			if err != nil {
-				t.Fatalf("mode %v query %d branch: %v", mode, qi, err)
+				t.Fatal(err)
 			}
-			if fmt.Sprintf("%v", a.Data) != fmt.Sprintf("%v", b.Data) {
-				t.Errorf("mode %v query %d: fused and branch-at-a-time results differ\nfused:  %v\nbranch: %v",
-					mode, qi, a.Data, b.Data)
+			got := mustQueryMode(t, db, mode, strings.Join(sqls, " UNION "), args...)
+			if fmt.Sprintf("%v", got.Data) != fmt.Sprintf("%v", want.Data) {
+				t.Errorf("mode %v union %d: fused UNION returned %d rows, its branches run standalone %d",
+					mode, ui, got.Len(), want.Len())
 			}
 		}
+	}
+}
+
+// tableStatsOf snapshots every table's planner statistics.
+func tableStatsOf(db *DB) map[string]*tableStats {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := map[string]*tableStats{}
+	for name, th := range db.tables {
+		out[name] = th.stats
+	}
+	return out
+}
+
+// explainAll renders the PlanAuto plan of each query against db.
+func explainAll(t *testing.T, db *DB, queries []string) []string {
+	t.Helper()
+	var out []string
+	for _, q := range queries {
+		for _, row := range mustQuery(t, db, "EXPLAIN "+q).Data {
+			out = append(out, row[0].S)
+		}
+	}
+	return out
+}
+
+// TestStatsDerivedAtMount pins statistics as derived state: an
+// insert-only database — written through single-row INSERTs, multi-row
+// INSERTs and batches, across commits — mounts to statistics deep-equal
+// to the ones its inserts built, so every plan and estimate survives a
+// reopen unchanged, and catalog.json never carries them.
+func TestStatsDerivedAtMount(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertZoneRows(t, db, "f", 3000)
+	mustExec(t, db, "CREATE TABLE s (a INT, b REAL, tag TEXT)")
+	mustExec(t, db, "CREATE INDEX s_ab ON s (a, b)")
+	for i := 0; i < 400; i++ {
+		mustExec(t, db, "INSERT INTO s VALUES (?, ?, 'x')", Int(int64(i*i%977)), Real(float64(i)/7))
+	}
+	mustExec(t, db, "INSERT INTO s VALUES (-50, 1e4, 'y'), (5000, -3, 'z')")
+	mustExec(t, db, "CREATE TABLE empty (a INT)")
+	queries := []string{
+		"SELECT * FROM f WHERE dv1 <= 40",
+		"SELECT * FROM f WHERE dv1 >= 100 AND dv2 < 0",
+		"SELECT * FROM f WHERE dv1 <= 2000 UNION SELECT * FROM f WHERE dv1 >= 2900",
+		"SELECT a FROM s WHERE a <= 10",
+		"SELECT a FROM s WHERE a <= 900 AND b >= 20",
+		"SELECT a FROM empty WHERE a <= 1",
+	}
+	before := tableStatsOf(db)
+	plans := explainAll(t, db, queries)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, catalogFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "stats") {
+		t.Fatalf("catalog.json carries statistics: %s", data)
+	}
+
+	db, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if after := tableStatsOf(db); !reflect.DeepEqual(before, after) {
+		t.Fatal("statistics derived at mount differ from the ones the inserts built")
+	}
+	if got := explainAll(t, db, queries); !reflect.DeepEqual(plans, got) {
+		t.Fatalf("plans changed across a reopen:\nbefore: %q\nafter:  %q", plans, got)
+	}
+}
+
+// TestStatsExactAfterDeleteReopen checks the other half: deletes leave the
+// running statistics wide, and the next mount counts only the live rows.
+func TestStatsExactAfterDeleteReopen(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertZoneRows(t, db, "f", 3000)
+	mustExec(t, db, "DELETE FROM f WHERE dv1 <= 1200")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	live, err := db.RowCount("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live != 1799 {
+		t.Fatalf("f holds %d rows, want 1799", live)
+	}
+	for name, cs := range tableStatsOf(db)["f"].Cols {
+		if cs.Hist.Total != int64(live) {
+			t.Errorf("column %s: histogram counts %d rows, heap holds %d", name, cs.Hist.Total, live)
+		}
+	}
+	if cs := tableStatsOf(db)["f"].Cols["dv1"]; cs.Min != 1201 {
+		t.Errorf("dv1 minimum %v after reopen, want 1201", cs.Min)
 	}
 }
 

@@ -97,14 +97,11 @@ func (tz *tableZones) note(page pager.PageID, vals []Value) {
 // the given plans (one for a plain scan, all members for a fused unit):
 // a page is kept when ANY non-empty plan admits it, so pruning never
 // drops a page some branch still needs. It returns nil — scan everything
-// — when zone maps are disabled or any branch is unprunable. Skipped
-// pages are counted on db.zoneSkipped.
+// — when any branch is unprunable. Skipped pages are counted on
+// db.zoneSkipped.
 //
 // locks: db.mu (any)
 func (db *DB) zoneKeep(plans ...*scanPlan) func(pager.PageID) bool {
-	if db.opts.DisableZoneMaps {
-		return nil
-	}
 	matchers := make([]func(pager.PageID) bool, 0, len(plans))
 	for _, p := range plans {
 		if p.empty {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -30,18 +31,35 @@ func zoneRows(n int) [][]Value {
 }
 
 // openZoneDB builds an in-memory table with zone maps populated.
-func openZoneDB(t *testing.T, opts Options, n int) *DB {
+func openZoneDB(t *testing.T, n int) *DB {
 	t.Helper()
-	db := OpenMemory(opts)
-	mustExec(t, db, "CREATE TABLE f (dv1 REAL, dv2 REAL, dt INT, tag TEXT)")
-	st, err := db.Prepare("INSERT INTO f VALUES (?, ?, ?, ?)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.ExecBatch(zoneRows(n)); err != nil {
-		t.Fatal(err)
-	}
+	db := OpenMemory(Options{})
+	insertZoneRows(t, db, "f", n)
 	return db
+}
+
+// rowSet renders a result as its sorted rows, so a sequential scan and
+// an index scan — which return the same rows in different orders —
+// compare equal.
+func rowSet(r *Rows) []string {
+	out := make([]string, len(r.Data))
+	for i, row := range r.Data {
+		out[i] = fmt.Sprint(row)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// forcedIndex runs sql under PlanForceIndex, the reference pruning is
+// judged against: an index scan never consults zone maps.
+func forcedIndex(t *testing.T, db *DB, sql string, args ...Value) *Rows {
+	t.Helper()
+	skipped := db.ZoneSkippedPages()
+	rows := mustQueryMode(t, db, PlanForceIndex, sql, args...)
+	if db.ZoneSkippedPages() != skipped {
+		t.Fatalf("forced-index %s skipped pages by zone map", sql)
+	}
+	return rows
 }
 
 // zoneQueries cover the pruning-relevant shapes: selective and
@@ -61,52 +79,32 @@ var zoneQueries = []struct {
 	{"SELECT * FROM f WHERE dv1 > 100000", nil},
 }
 
-// TestZonePruningIdentity compares every query on a pruning database
-// against a twin with zone maps disabled, under both plan modes and a
-// fused UNION: results must be byte-identical (pruning is advisory).
+// TestZonePruningIdentity compares every query, under both plan modes
+// that may prune and as a fused UNION, against the forced-index search of
+// the same database: the same rows must come back (pruning is advisory).
 func TestZonePruningIdentity(t *testing.T) {
-	pruned := openZoneDB(t, Options{}, 5000)
-	plain := openZoneDB(t, Options{DisableZoneMaps: true}, 5000)
-	defer pruned.Close()
-	defer plain.Close()
+	db := openZoneDB(t, 5000)
+	defer db.Close()
 	// Deletes leave zone summaries stale-wide; identity must survive them.
-	for _, db := range []*DB{pruned, plain} {
-		if _, err := db.Exec("DELETE FROM f WHERE dv1 >= 200 AND dv1 < 210"); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := db.Exec("DELETE FROM f WHERE dv1 >= 200 AND dv1 < 210"); err != nil {
+		t.Fatal(err)
 	}
 	for _, q := range zoneQueries {
+		want := rowSet(forcedIndex(t, db, q.sql, q.args...))
 		for _, mode := range []PlanMode{PlanAuto, PlanForceScan} {
-			a, err := pruned.QueryMode(mode, q.sql, q.args...)
-			if err != nil {
-				t.Fatalf("%s: %v", q.sql, err)
-			}
-			b, err := plain.QueryMode(mode, q.sql, q.args...)
-			if err != nil {
-				t.Fatalf("%s: %v", q.sql, err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("mode %v %s: pruned %d rows, unpruned %d rows", mode, q.sql, a.Len(), b.Len())
+			got := rowSet(mustQueryMode(t, db, mode, q.sql, q.args...))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("mode %v %s: pruned %d rows, forced-index %d rows", mode, q.sql, len(got), len(want))
 			}
 		}
 	}
 	union := "SELECT * FROM f WHERE dv1 < 40 UNION SELECT * FROM f WHERE dv1 >= 4980 UNION SELECT * FROM f WHERE dv1 = 2500"
-	a, err := pruned.QueryMode(PlanForceScan, union)
-	if err != nil {
-		t.Fatal(err)
+	want := rowSet(forcedIndex(t, db, union))
+	if got := rowSet(mustQueryMode(t, db, PlanForceScan, union)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fused union: pruned %d rows, forced-index %d rows", len(got), len(want))
 	}
-	b, err := plain.QueryMode(PlanForceScan, union)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("fused union: pruned %d rows, unpruned %d rows", a.Len(), b.Len())
-	}
-	if pruned.ZoneSkippedPages() == 0 {
+	if db.ZoneSkippedPages() == 0 {
 		t.Fatal("identity suite never exercised pruning")
-	}
-	if plain.ZoneSkippedPages() != 0 {
-		t.Fatal("DisableZoneMaps still pruned pages")
 	}
 }
 
@@ -114,7 +112,7 @@ func TestZonePruningIdentity(t *testing.T) {
 // the monotone column must skip most pages and read fewer pages than a
 // full scan, while returning exactly the matching rows.
 func TestZonePruningSkipsPages(t *testing.T) {
-	db := openZoneDB(t, Options{}, 5000)
+	db := openZoneDB(t, 5000)
 	defer db.Close()
 	if err := db.DropCache(); err != nil {
 		t.Fatal(err)
@@ -148,7 +146,7 @@ func TestZonePruningSkipsPages(t *testing.T) {
 
 // TestZoneExplain checks the EXPLAIN annotations for the new I/O layer.
 func TestZoneExplain(t *testing.T) {
-	db := openZoneDB(t, Options{}, 1000)
+	db := openZoneDB(t, 1000)
 	defer db.Close()
 	rows, err := db.QueryMode(PlanForceScan, "EXPLAIN SELECT * FROM f WHERE dv1 < 50")
 	if err != nil {
@@ -171,14 +169,12 @@ func TestZoneExplain(t *testing.T) {
 	}
 }
 
-// insertZoneRows creates table name with the zoneRows schema (and an index
-// on dv1 when indexed) and commits n rows into it.
-func insertZoneRows(t *testing.T, db *DB, name string, indexed bool, n int) *Stmt {
+// insertZoneRows creates table name with the zoneRows schema and an index
+// on dv1, and commits n rows into it.
+func insertZoneRows(t *testing.T, db *DB, name string, n int) *Stmt {
 	t.Helper()
 	mustExec(t, db, "CREATE TABLE "+name+" (dv1 REAL, dv2 REAL, dt INT, tag TEXT)")
-	if indexed {
-		mustExec(t, db, "CREATE INDEX "+name+"_dv1 ON "+name+" (dv1)")
-	}
+	mustExec(t, db, "CREATE INDEX "+name+"_dv1 ON "+name+" (dv1)")
 	st, err := db.Prepare("INSERT INTO " + name + " VALUES (?, ?, ?, ?)")
 	if err != nil {
 		t.Fatal(err)
@@ -191,17 +187,12 @@ func insertZoneRows(t *testing.T, db *DB, name string, indexed bool, n int) *Stm
 
 // checkZonesExact asserts, for every table, what a mounted table
 // guarantees: each summary covers its page's live rows, pruned forced
-// scans return exactly what unpruned ones do, and the planner's row
-// estimate equals the heap's live count.
+// scans return exactly what forced-index searches do, and the planner's
+// row estimate equals the heap's live count.
 func checkZonesExact(t *testing.T, db *DB, label string) {
 	t.Helper()
 	if err := db.CheckZones(); err != nil {
 		t.Fatalf("%s: %v", label, err)
-	}
-	setPruning := func(off bool) {
-		db.mu.Lock()
-		db.opts.DisableZoneMaps = off
-		db.mu.Unlock()
 	}
 	for _, table := range db.Tables() {
 		live, err := db.RowCount(table)
@@ -210,12 +201,10 @@ func checkZonesExact(t *testing.T, db *DB, label string) {
 		}
 		for _, q := range zoneQueries {
 			sql := strings.Replace(q.sql, "FROM f", "FROM "+table, 1)
-			pruned := mustQueryMode(t, db, PlanForceScan, sql, q.args...)
-			setPruning(true)
-			plain := mustQueryMode(t, db, PlanForceScan, sql, q.args...)
-			setPruning(false)
+			pruned := rowSet(mustQueryMode(t, db, PlanForceScan, sql, q.args...))
+			plain := rowSet(forcedIndex(t, db, sql, q.args...))
 			if !reflect.DeepEqual(pruned, plain) {
-				t.Fatalf("%s: %s: pruned %d rows, unpruned %d rows", label, sql, pruned.Len(), plain.Len())
+				t.Fatalf("%s: %s: pruned %d rows, forced-index %d rows", label, sql, len(pruned), len(plain))
 			}
 		}
 		plan := mustQuery(t, db, "EXPLAIN SELECT * FROM "+table).Data[0][0].S
@@ -235,7 +224,7 @@ func TestZonesRebuiltAtMount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	insertZoneRows(t, db, "f", false, 3000)
+	insertZoneRows(t, db, "f", 3000)
 	// Hollow out the middle of the table: the summaries stay wide until
 	// the next mount.
 	mustExec(t, db, "DELETE FROM f WHERE dv1 >= 1000 AND dv1 < 2000")
@@ -286,17 +275,17 @@ func TestZonesRebuiltAtMount(t *testing.T) {
 }
 
 // TestOldCatalogReopensFullyPrunable pins the upgrade path: a store whose
-// catalog.json was written before zone maps left it (indented, with a
-// "zones" key — here deliberately wrong, far too narrow) loads, ignores
-// the key, prunes from summaries derived at mount, and drops the key at
-// the next save.
+// catalog.json was written before zone maps and statistics left it
+// (indented, with "zones" and "stats" keys — here deliberately wrong, far
+// too narrow) loads, ignores both keys, prunes and plans from state
+// derived at mount, and drops the keys at the next DDL save.
 func TestOldCatalogReopensFullyPrunable(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	insertZoneRows(t, db, "f", false, 3000)
+	insertZoneRows(t, db, "f", 3000)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -311,6 +300,10 @@ func TestOldCatalogReopensFullyPrunable(t *testing.T) {
 	}
 	old["zones"] = map[string]any{"f": map[string]any{"cols": map[string]any{
 		"dv1": map[string]any{"min": []float64{5, 5, 5}, "max": []float64{6, 6, 6}},
+	}}}
+	old["stats"] = map[string]any{"f": map[string]any{"cols": map[string]any{
+		"dv1": map[string]any{"min": 5, "max": 6, "hist": map[string]any{
+			"lo": 5, "hi": 6, "n": []int64{7}, "total": 7}},
 	}}}
 	if data, err = json.MarshalIndent(old, "", "  "); err != nil {
 		t.Fatal(err)
@@ -327,15 +320,19 @@ func TestOldCatalogReopensFullyPrunable(t *testing.T) {
 	if db.ZoneSkippedPages() == 0 {
 		t.Fatal("store with an old catalog did not prune")
 	}
+	if cs := tableStatsOf(db)["f"].Cols["dv1"]; cs.Hist.Total != 3000 || cs.Max != 2999 {
+		t.Fatalf("dv1 statistics came from the old catalog: %+v", cs)
+	}
 	mustExec(t, db, "INSERT INTO f VALUES (7e5, 0, 0, 'new')")
+	mustExec(t, db, "CREATE TABLE h (a INT)")
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if data, err = os.ReadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "zones") {
-		t.Fatal("the save at Close kept the old zones key")
+	if strings.Contains(string(data), "zones") || strings.Contains(string(data), "stats") {
+		t.Fatalf("the DDL save kept an old key: %s", data)
 	}
 }
 
@@ -343,7 +340,8 @@ func TestOldCatalogReopensFullyPrunable(t *testing.T) {
 // really takes — rows already in the heap and folded into statistics and
 // zone maps when an index apply fails — and checks AbortBatch puts both
 // back without reading catalog.json: summaries exact on every table, row
-// estimates equal to the live count, and the same again after a further
+// estimates equal to the live count, statistics equal to those a fresh
+// open of the durable image derives, and the same again after a further
 // commit and a reopen.
 func TestAbortRestoresZonesAndStats(t *testing.T) {
 	dir := t.TempDir()
@@ -353,8 +351,8 @@ func TestAbortRestoresZonesAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stF := insertZoneRows(t, db, "f", true, 2000)
-	insertZoneRows(t, db, "g", false, 700)
+	stF := insertZoneRows(t, db, "f", 2000)
+	insertZoneRows(t, db, "g", 700)
 	checkZonesExact(t, db, "before abort")
 	saved := db.catalogSaves.Load()
 
@@ -369,19 +367,19 @@ func TestAbortRestoresZonesAndStats(t *testing.T) {
 	if _, err := stF.ExecBatch(doomed); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("index apply survived the scripted read fault: %v", err)
 	}
-	dv1 := func() *colStats {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		return db.catalog.Stats["f"].Cols["dv1"]
-	}
+	dv1 := func() *colStats { return tableStatsOf(db)["f"].Cols["dv1"] }
 	if dv1().Min != -5e6 {
 		t.Fatal("the fault fired before the row was folded into the statistics")
 	}
 	// catalog.json must play no part in the rollback.
-	if err := os.Remove(filepath.Join(dir, catalogFile)); err != nil {
+	catPath := filepath.Join(dir, catalogFile)
+	if err := os.Rename(catPath, catPath+".aside"); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.AbortBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(catPath+".aside", catPath); err != nil {
 		t.Fatal(err)
 	}
 	if n := db.catalogSaves.Load(); n != saved {
@@ -393,6 +391,16 @@ func TestAbortRestoresZonesAndStats(t *testing.T) {
 	}
 	if cs := dv1(); cs.Min != 0 || cs.Hist.Total != 2000 {
 		t.Fatalf("dv1 statistics kept the aborted row: %+v", cs)
+	}
+	fresh, err := Open(dir, Options{FileFactory: faultfs.NewFromSnapshot(1, reg.Snapshot()).Open})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tableStatsOf(db), tableStatsOf(fresh)) {
+		t.Error("statistics after abort differ from a fresh open of the durable image")
+	}
+	if err := fresh.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	if _, err := stF.ExecBatch([][]Value{{Real(5e5), Real(1), Int(1), Text("kept")}}); err != nil {
@@ -419,7 +427,7 @@ func TestAbortRestoresZonesAndStats(t *testing.T) {
 // summary makes pruning lose the older rows — the false negative the
 // check exists to catch.
 func TestCheckZonesFiresOnSkippedRebuild(t *testing.T) {
-	db := openZoneDB(t, Options{}, 500)
+	db := openZoneDB(t, 500)
 	defer db.Close()
 	if err := db.CheckZones(); err != nil {
 		t.Fatal(err)

@@ -110,11 +110,12 @@ func TestPropertyDifferentialOracle(t *testing.T) {
 
 // TestPropertyFusedScanIdentity is the property-based identity test for
 // the fused shared-scan execution path: the same randomized workload and
-// queries, answered by every engine configuration the planner can take —
-// fusion on/off × every PlanMode × union pool sizes 1 and GOMAXPROCS —
-// must produce identical matches. Fusion is a pure execution-strategy
-// change; any divergence here is a correctness bug, so the reference
-// configuration is the unfused branch-at-a-time path.
+// queries, answered under every PlanMode by union pools of size 1 and
+// GOMAXPROCS, must produce identical matches, and the serial
+// forced-index answer — the path that never consults zone maps — must
+// satisfy Theorem 1 against the naive oracle. Any divergence is a
+// correctness bug: fusion, pruning and the pool are pure
+// execution-strategy choices.
 func TestPropertyFusedScanIdentity(t *testing.T) {
 	nSeries, nQueries := 6, 5
 	if testing.Short() {
@@ -141,14 +142,8 @@ func TestPropertyFusedScanIdentity(t *testing.T) {
 				opts core.Options
 			}
 			base := core.Options{Epsilon: eps, Window: int64(w / time.Second)}
-			configs := []config{
-				{"branch-serial", base}, {"branch-pool", base},
-				{"fused-serial", base}, {"fused-pool", base},
-			}
-			configs[0].opts.DB = sqlmini.Options{DisableFusion: true, UnionWorkers: 1}
-			configs[1].opts.DB = sqlmini.Options{DisableFusion: true}
-			configs[2].opts.DB = sqlmini.Options{UnionWorkers: 1}
-			configs[3].opts.DB = sqlmini.Options{}
+			configs := []config{{"serial", base}, {"pool", base}}
+			configs[0].opts.DB = sqlmini.Options{UnionWorkers: 1}
 
 			stores := make([]*core.Store, len(configs))
 			for ci, c := range configs {
@@ -165,9 +160,14 @@ func TestPropertyFusedScanIdentity(t *testing.T) {
 				}
 				stores[ci] = st
 			}
+			segs, err := stores[0].Segments()
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxSlope := crashtest.MaxSlope(segs)
 
 			wSec := int64(w / time.Second)
-			modes := []sqlmini.PlanMode{sqlmini.PlanAuto, sqlmini.PlanForceScan, sqlmini.PlanForceIndex}
+			modes := []sqlmini.PlanMode{sqlmini.PlanForceIndex, sqlmini.PlanForceScan, sqlmini.PlanAuto}
 			for q := 0; q < nQueries; q++ {
 				T := 600 + rng.Int63n(wSec-599)
 				mag := 1 + rng.Float64()*5
@@ -176,19 +176,26 @@ func TestPropertyFusedScanIdentity(t *testing.T) {
 					if kind == feature.Drop {
 						V = -mag
 					}
-					for _, mode := range modes {
-						ref, err := stores[0].SearchMode(kind, T, V, mode)
-						if err != nil {
-							t.Fatalf("%s %v T=%d V=%.3f mode=%v: %v", configs[0].name, kind, T, V, mode, err)
-						}
-						for ci := 1; ci < len(stores); ci++ {
-							got, err := stores[ci].SearchMode(kind, T, V, mode)
+					ref, err := stores[0].SearchMode(kind, T, V, modes[0])
+					if err != nil {
+						t.Fatalf("%s %v T=%d V=%.3f mode=%v: %v", configs[0].name, kind, T, V, modes[0], err)
+					}
+					ps := make([]crashtest.Period, len(ref))
+					for i, m := range ref {
+						ps[i] = crashtest.Period{TD: m.TD, TC: m.TC, TB: m.TB, TA: m.TA}
+					}
+					if err := crashtest.VerifyTheorem1(series, kind, T, V, ps, maxSlope, eps); err != nil {
+						t.Fatalf("%v T=%d V=%.3f: %v", kind, T, V, err)
+					}
+					for ci, st := range stores {
+						for _, mode := range modes {
+							got, err := st.SearchMode(kind, T, V, mode)
 							if err != nil {
 								t.Fatalf("%s %v T=%d V=%.3f mode=%v: %v", configs[ci].name, kind, T, V, mode, err)
 							}
 							if !reflect.DeepEqual(ref, got) {
-								t.Errorf("%v T=%d V=%.3f mode=%v: %s returned %d matches, %s returned %d\nref: %v\ngot: %v",
-									kind, T, V, mode, configs[0].name, len(ref), configs[ci].name, len(got), ref, got)
+								t.Errorf("%v T=%d V=%.3f: serial forced-index returned %d matches, %s mode=%v returned %d\nref: %v\ngot: %v",
+									kind, T, V, len(ref), configs[ci].name, mode, len(got), ref, got)
 							}
 						}
 					}
