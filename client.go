@@ -185,8 +185,10 @@ func (c *Client) Sensors(ctx context.Context) ([]string, error) {
 	return out.Sensors, nil
 }
 
-// Explain fetches an EXPLAIN ANALYZE trace for one sensor's search via
-// GET /v1/explain. jump selects the search kind.
+// Explain fetches an EXPLAIN ANALYZE trace of one sensor's search via
+// GET /v1/explain: the feature-index reference plan (see
+// Index.ExplainDrops), not the scan that serves Drops and Jumps. jump
+// selects the search kind.
 func (c *Client) Explain(ctx context.Context, sensor string, jump bool, span time.Duration, v float64) (QueryTrace, error) {
 	q := url.Values{}
 	q.Set("sensor", sensor)

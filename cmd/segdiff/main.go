@@ -132,7 +132,10 @@ func parseKind(s string) feature.Kind {
 	return feature.Drop
 }
 
-// parsePlan maps a -plan flag value to an access-path mode.
+// parsePlan maps a -plan flag value to a plan mode. For search, auto is
+// the served scan of the committed segments, and scan and index run the
+// feature-index reference with every branch forced to a heap scan or to
+// its index; trace always runs the reference, planned under the mode.
 func parsePlan(s string) (sqlmini.PlanMode, error) {
 	switch s {
 	case "auto":
@@ -152,7 +155,7 @@ func search(args []string) (err error) {
 	kindStr := fs.String("kind", "drop", "drop or jump")
 	span := fs.Duration("span", time.Hour, "time span threshold T")
 	v := fs.Float64("v", -3, "change threshold V (negative for drops, positive for jumps)")
-	planStr := fs.String("plan", "auto", "auto, scan or index")
+	planStr := fs.String("plan", "auto", "auto (the served scan), or scan or index (the feature-index reference)")
 	fs.Parse(args)
 
 	kind := parseKind(*kindStr)
@@ -180,8 +183,9 @@ func search(args []string) (err error) {
 	return nil
 }
 
-// traceCmd runs one drop/jump search under EXPLAIN ANALYZE and prints
-// the annotated plan: per-node actual rows, page I/O, zone-map skips,
+// traceCmd runs one drop/jump search's feature-index reference plan
+// (not the served scan) under EXPLAIN ANALYZE and prints the annotated
+// plan: per-node actual rows, page I/O, zone-map skips,
 // and wall time next to the planner's estimates. With -debug ADDR it
 // also serves the engine's expvar/pprof/metrics endpoint for the
 // lifetime of the command (useful together with -iters for profiling).
@@ -191,7 +195,7 @@ func traceCmd(args []string) (err error) {
 	kindStr := fs.String("kind", "drop", "drop or jump")
 	span := fs.Duration("span", time.Hour, "time span threshold T")
 	v := fs.Float64("v", -3, "change threshold V (negative for drops, positive for jumps)")
-	planStr := fs.String("plan", "auto", "auto, scan or index")
+	planStr := fs.String("plan", "auto", "how the feature-index reference is planned: auto, scan or index")
 	jsonOut := fs.Bool("json", false, "emit the trace as JSON instead of text")
 	iters := fs.Int("iters", 1, "number of traced executions (last trace is reported)")
 	debugAddr := fs.String("debug", "", "serve the expvar/pprof/metrics debug endpoint on this address")

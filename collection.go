@@ -198,8 +198,8 @@ func (c *Collection) Jumps(span time.Duration, v float64) ([]SensorMatches, erro
 
 // DropsContext searches the named sensors — every sensor when none are
 // given — under a request context. The context is consulted before each
-// sensor's search is dispatched and between the scan units of each
-// search, so an expired deadline aborts the fanout promptly with an
+// sensor's search is dispatched and every 1024 segments of each sensor's
+// scan, so an expired deadline aborts the fanout promptly with an
 // error wrapping ctx.Err(). A filter naming a sensor the collection
 // does not hold fails with ErrUnknownSensor.
 func (c *Collection) DropsContext(ctx context.Context, span time.Duration, v float64, sensors ...string) ([]SensorMatches, error) {

@@ -100,10 +100,13 @@ func TestConcurrentSearchStress(t *testing.T) {
 	}
 }
 
-// TestWriterConcurrentWithReaders runs a single ingesting goroutine
-// against a crowd of searching goroutines. Writes must simply serialize
-// against reads: every search either sees a consistent snapshot or blocks,
-// and never errors or returns malformed matches.
+// TestWriterConcurrentWithReaders runs a single ingesting goroutine —
+// appending, committing, aborting uncommitted appends and pruning —
+// against a crowd of searching goroutines. Searches read the last
+// published snapshot of the committed segments and take no engine lock,
+// so readers never wait on the writer and the writer never waits on
+// readers: every search sees some committed state and never errors or
+// returns malformed matches. Run with -race.
 func TestWriterConcurrentWithReaders(t *testing.T) {
 	ix, err := NewMemory(Options{Epsilon: 0.2, Window: 8 * time.Hour})
 	if err != nil {
@@ -116,45 +119,69 @@ func TestWriterConcurrentWithReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Each reader runs a fixed number of queries rather than free-running
-	// until the writer finishes: every commit of the writer queues behind
-	// the in-flight reads, so unbounded re-querying starves the ingest for
-	// the whole test (minutes under the race detector).
+	// Readers query until the writer is done, at least a few times each,
+	// pausing between queries so that two cores still leave the writer
+	// room under the race detector.
+	done := make(chan struct{})
 	errCh := make(chan error, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 8; i++ {
+			for i := 0; ; i++ {
+				if i >= 4 {
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
 				ms, err := ix.Drops(10*time.Minute, -6)
 				if err != nil {
 					errCh <- fmt.Errorf("reader: %w", err)
 					return
 				}
 				for _, m := range ms {
-					if m.From.Start > m.From.End || m.To.Start > m.To.End {
+					if m.From.Start > m.From.End || m.To.Start > m.To.End || m.From.End > m.To.Start && m.From != m.To {
 						errCh <- fmt.Errorf("reader: malformed match %+v", m)
 						return
 					}
 				}
+				time.Sleep(time.Millisecond)
 			}
 		}()
 	}
 
-	// The single writer: batches of appends, each committed with Sync.
-	for i := 400; i < len(pts); i += 300 {
-		end := i + 300
-		if end > len(pts) {
-			end = len(pts)
-		}
+	// The single writer: batches of appends, each committed with Sync;
+	// every third batch is followed by appends it then aborts, and one
+	// prune trims the oldest history (a small cutoff: deleting feature
+	// rows is the slowest write under the race detector).
+	for i, batch := 400, 0; i < len(pts); i, batch = i+150, batch+1 {
+		end := min(i+150, len(pts))
 		if err := ix.AppendPoints(pts[i:end]); err != nil {
 			t.Fatal(err)
+		}
+		if batch%3 == 0 && end+50 <= len(pts) {
+			for _, p := range pts[end : end+50] {
+				if err := ix.Append(p.Time, p.Value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ix.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if batch == 1 {
+			if _, err := ix.Prune(pts[100].Time); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := ix.Finish(); err != nil {
 		t.Fatal(err)
 	}
+	close(done)
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {

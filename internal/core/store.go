@@ -1,12 +1,23 @@
 // Package core is the SegDiff framework itself: it wires the online
 // segmentation (internal/segment), the windowed parallelogram feature
-// extraction (internal/extract), and the relational storage layer
+// extraction (internal/extract), the scan-and-refine search
+// (internal/scan), and the relational storage layer
 // (internal/storage/sqlmini) into the system of the paper —
 //
-//	observations → piecewise linear segments → ε-shifted boundary corners
-//	            → relational tables with B-tree indexes
-//	drop/jump search → union of point queries and line queries
-//	            → segment-pair tuples ((t_D, t_C), (t_B, t_A))
+//	observations → piecewise linear segments → segs table (+ memory mirror)
+//	                                         → ε-shifted boundary corners
+//	                                         → feature tables with B-tree indexes
+//	drop/jump search → one pass over the committed segments, recomputing
+//	            each candidate pair's corners and applying the point and
+//	            line queries → segment-pair tuples ((t_D, t_C), (t_B, t_A))
+//
+// Search is served from the committed segments alone: Theorem 1 depends
+// only on the corners, and recomputing them for the pairs that can still
+// match beats reading them back through the feature indexes. The feature
+// tables are still written at ingest and remain the reference path: the
+// paper's union of point and line queries over them runs under an
+// explicit plan mode (SearchMode with PlanForceScan or PlanForceIndex,
+// TraceSearch), and the tests require both paths to agree bit for bit.
 //
 // Storage schema. Features are stored by search kind and corner count,
 // matching the paper's variable-width layout (Section 5.2, c₂ ∈ {5,6,7}):
@@ -20,7 +31,8 @@
 // Each corner carries a B-tree index on (dtᵢ, dvᵢ) for the point query and
 // each boundary edge an index on (dtᵢ, dvᵢ, dtᵢ₊₁, dvᵢ₊₁) for the line
 // query, reproducing the paper's observation that SegDiff's index overhead
-// exceeds its feature size.
+// exceeds its feature size. meta also holds pruned_before, the retention
+// cutoff, once Prune has run.
 package core
 
 import (
@@ -30,10 +42,12 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"segdiff/internal/extract"
 	"segdiff/internal/feature"
 	"segdiff/internal/obs"
+	"segdiff/internal/scan"
 	"segdiff/internal/segment"
 	"segdiff/internal/storage/pager"
 	"segdiff/internal/storage/sqlmini"
@@ -79,21 +93,29 @@ func (o Options) normalize() (Options, error) {
 
 // Match is a search result: the paper's tuple ((t_D, t_C), (t_B, t_A)).
 // The drop (or jump) starts somewhere in [TD, TC] and ends in [TB, TA].
-type Match struct {
-	TD, TC, TB, TA int64
-}
+type Match = scan.Match
 
-// Store is a single-sensor SegDiff feature store. Search methods
-// (SearchDrops, SearchJumps, SearchMode, Stats, Segments) are safe for
-// concurrent use and run in parallel: each search is one prepared UNION
-// statement whose branches the engine spreads over a bounded worker pool
-// (Options.DB.UnionWorkers), and independent searches proceed side by side
-// under the engine's shared read lock. Ingestion (Append, Sync, Finish,
-// Prune) must be driven by a single goroutine; concurrent searches block
-// only while a write holds the engine's exclusive lock.
+// Store is a single-sensor SegDiff store. It keeps an in-memory mirror of
+// its committed segments: derived from the segs table at open, extended
+// after each successful commit, and published as one immutable snapshot.
+// SearchDrops, SearchJumps and SearchContext under PlanAuto scan that
+// snapshot (internal/scan), so they take no engine lock and never wait on
+// ingest. The feature-index union is the reference path, run by SearchMode
+// and SearchContext under PlanForceScan or PlanForceIndex and by
+// TraceSearch under the engine's shared read lock; its UNION branches
+// spread over a bounded worker pool (Options.DB.UnionWorkers). Searches,
+// Stats and Segments are safe for concurrent use. Ingestion (Append, Sync,
+// Abort, Finish, Prune) must be driven by a single goroutine.
 type Store struct {
 	db   *sqlmini.DB
 	opts Options
+
+	// snap is the committed state search reads; only the ingest
+	// goroutine stores it.
+	snap atomic.Pointer[committed]
+	// pending holds the segments emitted since the last Sync, in the
+	// order they reach the segs table; Sync publishes them after commit.
+	pending []segment.Segment
 
 	seg *segment.Segmenter
 	ext *extract.Extractor
@@ -110,6 +132,23 @@ type Store struct {
 	// bytes — follows emission order, not where the Syncs fall.
 	segRows  [][]sqlmini.Value
 	featRows map[feature.Kind]map[int][][]sqlmini.Value
+}
+
+// committed is one published snapshot of the searchable state: the rows
+// of the segs table in time order, and the retention cutoff. A pair is
+// searchable iff its end segment ends after prunedBefore; the segments
+// at or before it that remain serve as the earlier segment (CD) of later
+// pairs only. Snapshots are immutable once stored: a commit publishes a
+// longer slice (appending past every published length), Prune a new one.
+type committed struct {
+	segs         []segment.Segment
+	prunedBefore int64
+}
+
+// searchable returns the segments that end after the retention cutoff.
+func (c *committed) searchable() []segment.Segment {
+	k := sort.Search(len(c.segs), func(i int) bool { return c.segs[i].Te > c.prunedBefore })
+	return c.segs[k:]
 }
 
 // Open opens (creating or resuming) an on-disk store.
@@ -159,10 +198,34 @@ func initStore(db *sqlmini.DB, opts Options) (*Store, error) {
 	if err := s.prepareStatements(); err != nil {
 		return nil, err
 	}
-	if err := s.initPipeline(); err != nil {
+	if err := s.mount(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// mount derives the committed snapshot from the segs table and meta, and
+// rebuilds the ingest pipeline from it. Open runs it, and so does a
+// failed commit, whose rows the engine may still hold.
+func (s *Store) mount() error {
+	meta, err := s.readMeta()
+	if err != nil {
+		return err
+	}
+	c := &committed{prunedBefore: math.MinInt64}
+	if v, ok := meta[metaPrunedBefore]; ok {
+		c.prunedBefore = int64(v)
+	}
+	rows, err := s.db.Query("SELECT ts, vs, te, ve FROM segs ORDER BY ts")
+	if err != nil {
+		return err
+	}
+	c.segs = make([]segment.Segment, 0, rows.Len())
+	for _, row := range rows.Data {
+		c.segs = append(c.segs, segment.Segment{Ts: row[0].I, Vs: row[1].R, Te: row[2].I, Ve: row[3].R})
+	}
+	s.snap.Store(c)
+	return s.initPipeline()
 }
 
 func tableName(kind feature.Kind, nc int) string {
@@ -224,16 +287,27 @@ func (s *Store) writeMeta() error {
 	return err
 }
 
-// checkMeta loads ε and w from a resumed store; explicit options must
-// match the persisted values.
-func (s *Store) checkMeta() error {
+// metaPrunedBefore is the meta key of the retention cutoff.
+const metaPrunedBefore = "pruned_before"
+
+func (s *Store) readMeta() (map[string]float64, error) {
 	r, err := s.db.Query("SELECT k, v FROM meta")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	stored := map[string]float64{}
 	for _, row := range r.Data {
 		stored[row[0].S] = row[1].R
+	}
+	return stored, nil
+}
+
+// checkMeta loads ε and w from a resumed store; explicit options must
+// match the persisted values.
+func (s *Store) checkMeta() error {
+	stored, err := s.readMeta()
+	if err != nil {
+		return err
 	}
 	eps, ok1 := stored["epsilon"]
 	win, ok2 := stored["window"]
@@ -289,44 +363,23 @@ func (s *Store) prepareStatements() error {
 	return nil
 }
 
-// initPipeline builds the segmenter and extractor, preloading the
-// extractor window from persisted segments when resuming.
+// initPipeline builds the segmenter and extractor from the committed
+// snapshot, preloading the extractor window with the segments the next
+// one can pair with. (The segmenter restarts fresh: a reopen behaves like
+// a sensor gap at the boundary.)
 func (s *Store) initPipeline() error {
 	ext, err := extract.New(s.opts.Epsilon, s.opts.Window, s.storeBoundary)
 	if err != nil {
 		return err
 	}
 	s.ext = ext
-
-	// Resume: reload window-relevant segments. (The segmenter restarts
-	// fresh: a reopen behaves like a sensor gap at the boundary.)
-	r, err := s.db.Query("SELECT MAX(te) FROM segs")
-	if err != nil {
-		return err
-	}
-	if n, _ := s.db.RowCount("segs"); n > 0 {
-		maxTe := r.Data[0][0]
-		var lastEnd int64
-		switch maxTe.T {
-		case sqlmini.IntType:
-			lastEnd = maxTe.I
-		case sqlmini.RealType:
-			lastEnd = int64(maxTe.R)
-		}
-		rows, err := s.db.Query("SELECT ts, vs, te, ve FROM segs WHERE te > ? ORDER BY ts",
-			sqlmini.Int(lastEnd-s.opts.Window))
-		if err != nil {
-			return err
-		}
-		segs := make([]segment.Segment, 0, rows.Len())
-		for _, row := range rows.Data {
-			segs = append(segs, segment.Segment{Ts: row[0].I, Vs: row[1].R, Te: row[2].I, Ve: row[3].R})
-		}
-		if err := s.ext.Preload(segs); err != nil {
+	if segs := s.snap.Load().segs; len(segs) > 0 {
+		from := segs[len(segs)-1].Te - s.opts.Window
+		k := sort.Search(len(segs), func(i int) bool { return segs[i].Te > from })
+		if err := s.ext.Preload(segs[k:]); err != nil {
 			return err
 		}
 	}
-
 	s.seg, err = segment.NewSegmenter(s.opts.Epsilon, s.storeSegment)
 	return err
 }
@@ -335,6 +388,7 @@ func (s *Store) storeSegment(g segment.Segment) error {
 	row := []sqlmini.Value{
 		sqlmini.Int(g.Ts), sqlmini.Real(g.Vs), sqlmini.Int(g.Te), sqlmini.Real(g.Ve)}
 	s.segRows = append(s.segRows, row)
+	s.pending = append(s.pending, g)
 	return s.ext.Push(g)
 }
 
@@ -363,6 +417,7 @@ func (s *Store) buffered() int {
 
 func (s *Store) clearBuffers() {
 	s.segRows = s.segRows[:0]
+	s.pending = s.pending[:0]
 	for _, byNC := range s.featRows {
 		for nc := range byNC {
 			byNC[nc] = byNC[nc][:0]
@@ -424,10 +479,11 @@ func (s *Store) AppendSeries(series *timeseries.Series) error {
 // Sync commits the current ingest batch: buffered rows are written through
 // the engine's batched insert path — one writer-lock acquisition and one
 // sorted, index-parallel apply per table, then a single group commit
-// (one fsync). The trailing partial segment (if any) remains open: its
-// observations become searchable once the segment closes (more data
-// arrives or Finish is called). On error the store is rolled back to its
-// last committed state (see Abort).
+// (one fsync) — and only then are the new segments published to search.
+// The trailing partial segment (if any) remains open: its observations
+// become searchable once the segment closes (more data arrives or Finish
+// is called). On error the store is rolled back to its last committed
+// state (see Abort).
 func (s *Store) Sync() error {
 	if !s.dirty {
 		return nil
@@ -445,14 +501,23 @@ func (s *Store) Sync() error {
 		s.clearBuffers()
 		return errors.Join(err, s.db.AbortBatch(), s.initPipeline())
 	}
+	if err := s.db.CommitBatch(); err != nil {
+		// The engine keeps what it holds past a failed commit (the rows
+		// may yet reach the log with the next one), so the snapshot and
+		// the pipeline are derived again from its segs table.
+		s.clearBuffers()
+		return errors.Join(err, s.mount())
+	}
+	old := s.snap.Load()
+	s.snap.Store(&committed{segs: append(old.segs, s.pending...), prunedBefore: old.prunedBefore})
 	s.clearBuffers()
-	return s.db.CommitBatch()
+	return nil
 }
 
 // Abort discards everything appended since the last successful Sync:
 // buffered rows are dropped and the segmentation pipeline is rebuilt from
-// the committed segment catalog. Nothing touches the engine between
-// Syncs, so Abort is exact for on-disk and in-memory stores alike.
+// the committed snapshot. Nothing touches the engine between Syncs, so
+// Abort is exact for on-disk and in-memory stores alike.
 func (s *Store) Abort() error {
 	s.dirty = false
 	s.clearBuffers()
@@ -495,27 +560,37 @@ func (s *Store) SearchJumps(T int64, V float64) ([]Match, error) {
 	return s.search(context.Background(), feature.Jump, T, V, sqlmini.PlanAuto)
 }
 
-// SearchMode runs a drop or jump search under an explicit access-path
-// mode (sequential scan vs indexes), as the experiments require.
+// SearchMode runs a drop or jump search under a plan mode. PlanAuto is
+// the served search, a scan of the committed segments; PlanForceScan and
+// PlanForceIndex run the reference path, the paper's union of point and
+// line queries over the feature tables, with every branch forced to a
+// sequential heap scan or to its corner index. All three return the same
+// matches.
 func (s *Store) SearchMode(kind feature.Kind, T int64, V float64, mode sqlmini.PlanMode) ([]Match, error) {
 	return s.search(context.Background(), kind, T, V, mode)
 }
 
-// SearchContext is SearchMode under a request context: the engine checks
-// the context before execution and between scan units of the search
-// UNION, so an expired deadline or a disconnected client aborts the
-// query within one bounded unit of work. The returned error wraps
+// SearchContext is SearchMode under a request context. The scan checks
+// the context before its pass and every 1024 end segments; the reference
+// path checks it before execution and between scan units of its UNION.
+// Either way an expired deadline or a disconnected client aborts the
+// query within one bounded unit of work, and the returned error wraps
 // context.DeadlineExceeded / context.Canceled for errors.Is.
 func (s *Store) SearchContext(ctx context.Context, kind feature.Kind, T int64, V float64, mode sqlmini.PlanMode) ([]Match, error) {
 	return s.search(ctx, kind, T, V, mode)
 }
 
 func (s *Store) search(ctx context.Context, kind feature.Kind, T int64, V float64, mode sqlmini.PlanMode) ([]Match, error) {
-	if _, err := feature.NewRegion(kind, T, V); err != nil {
+	r, err := feature.NewRegion(kind, T, V)
+	if err != nil {
 		return nil, err
 	}
 	if T > s.opts.Window {
 		return nil, fmt.Errorf("core: T=%d exceeds the store window w=%d", T, s.opts.Window)
+	}
+	if mode == sqlmini.PlanAuto {
+		c := s.snap.Load()
+		return scan.Search(ctx, c.segs, r, s.opts.Epsilon, s.opts.Window, c.prunedBefore)
 	}
 	var args []sqlmini.Value
 	for _, q := range searchQueries(kind) {
@@ -677,12 +752,14 @@ func (s *Store) Stats() (Stats, error) {
 	return st, nil
 }
 
-// TraceSearch runs a drop or jump search under EXPLAIN ANALYZE and
-// returns its runtime trace: one node per scan unit of the search
-// UNION, annotated with actual row counts, page I/O deltas, zone-map
-// skips, and wall time next to the planner's estimates. The search
-// itself executes exactly as SearchMode would, but sequentially on the
-// calling goroutine so page attribution stays per-node.
+// TraceSearch runs the reference path of a drop or jump search — the
+// union of point and line queries over the feature tables, planned under
+// mode — under EXPLAIN ANALYZE and returns its runtime trace: one node per
+// scan unit of the UNION, annotated with actual row counts, page I/O
+// deltas, zone-map skips, and wall time next to the planner's estimates.
+// It traces the reference plan even under PlanAuto, where SearchMode
+// serves the scan instead. The union executes sequentially on the calling
+// goroutine so page attribution stays per-node.
 func (s *Store) TraceSearch(kind feature.Kind, T int64, V float64, mode sqlmini.PlanMode) (*obs.Trace, error) {
 	if _, err := feature.NewRegion(kind, T, V); err != nil {
 		return nil, err
@@ -717,24 +794,43 @@ func (s *Store) Epsilon() float64 { return s.opts.Epsilon }
 // Window returns the store's w.
 func (s *Store) Window() int64 { return s.opts.Window }
 
-// Prune deletes every feature row and data segment that lies entirely
-// before the cutoff timestamp, bounding the index for long-running
-// deployments (retention). It returns the number of feature rows removed.
-// Periods before the cutoff are no longer searchable; space is reclaimed
-// logically (heap pages keep their tombstones).
+// Prune removes every match whose end segment ends at or before the
+// cutoff timestamp, bounding the store for long-running deployments
+// (retention): a match survives iff TA > before. It returns the number of
+// feature rows removed. Space is reclaimed logically (heap pages keep
+// their tombstones).
+//
+// Segments go only when no surviving or future end segment can pair with
+// them: those ending at or before min(t₀, last end) − w, where t₀ is the
+// start of the first segment ending after the cutoff. The cutoff itself
+// is persisted as meta's pruned_before (the largest so far, clamped to the
+// last committed end so later segments stay searchable) in the same batch,
+// and the search reports only pairs whose end segment ends after it.
 func (s *Store) Prune(before int64) (int, error) {
 	if s.dirty {
 		if err := s.Sync(); err != nil {
 			return 0, err
 		}
 	}
+	old := s.snap.Load()
+	cut, keepFrom := old.prunedBefore, int64(math.MinInt64)
+	if n := len(old.segs); n > 0 {
+		last := old.segs[n-1].Te
+		cut = max(cut, min(before, last))
+		t0 := last
+		if k := sort.Search(n, func(i int) bool { return old.segs[i].Te > cut }); k < n {
+			t0 = old.segs[k].Ts
+		}
+		keepFrom = t0 - s.opts.Window
+	}
+
 	s.db.BeginBatch()
 	removed := 0
 	for _, kind := range []feature.Kind{feature.Drop, feature.Jump} {
 		for nc := 1; nc <= 3; nc++ {
 			n, err := s.db.Exec(
 				fmt.Sprintf("DELETE FROM %s WHERE ta <= ?", tableName(kind, nc)),
-				sqlmini.Int(before))
+				sqlmini.Int(cut))
 			if err != nil {
 				// Leaving the batch open would wedge the engine in batch
 				// mode and silently drop every later commit.
@@ -743,21 +839,30 @@ func (s *Store) Prune(before int64) (int, error) {
 			removed += n
 		}
 	}
-	if _, err := s.db.Exec("DELETE FROM segs WHERE te <= ?", sqlmini.Int(before)); err != nil {
-		return removed, errors.Join(err, s.db.AbortBatch())
+	for _, st := range []struct {
+		sql  string
+		args []sqlmini.Value
+	}{
+		{"DELETE FROM segs WHERE te <= ?", []sqlmini.Value{sqlmini.Int(keepFrom)}},
+		{"DELETE FROM meta WHERE k = ?", []sqlmini.Value{sqlmini.Text(metaPrunedBefore)}},
+		{"INSERT INTO meta VALUES (?, ?)", []sqlmini.Value{sqlmini.Text(metaPrunedBefore), sqlmini.Real(float64(cut))}},
+	} {
+		if _, err := s.db.Exec(st.sql, st.args...); err != nil {
+			return removed, errors.Join(err, s.db.AbortBatch())
+		}
 	}
-	return removed, s.db.CommitBatch()
+	if err := s.db.CommitBatch(); err != nil {
+		return removed, errors.Join(err, s.mount())
+	}
+	k := sort.Search(len(old.segs), func(i int) bool { return old.segs[i].Te > keepFrom })
+	s.snap.Store(&committed{segs: append([]segment.Segment(nil), old.segs[k:]...), prunedBefore: cut})
+	return removed, nil
 }
 
-// Segments returns the persisted data-segment catalog in temporal order.
+// Segments returns the searchable data-segment catalog in temporal order:
+// the committed segments that end after the retention cutoff. (Segments
+// Prune keeps only as the earlier half of later pairs are not listed.)
 func (s *Store) Segments() ([]segment.Segment, error) {
-	rows, err := s.db.Query("SELECT ts, vs, te, ve FROM segs ORDER BY ts")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]segment.Segment, 0, rows.Len())
-	for _, row := range rows.Data {
-		out = append(out, segment.Segment{Ts: row[0].I, Vs: row[1].R, Te: row[2].I, Ve: row[3].R})
-	}
-	return out, nil
+	segs := s.snap.Load().searchable()
+	return append(make([]segment.Segment, 0, len(segs)), segs...), nil
 }

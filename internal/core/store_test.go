@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -189,42 +190,71 @@ func TestFalsePositiveBoundJumps(t *testing.T) {
 	}
 }
 
-// All three plan modes must return identical matches.
+// All three plan modes must return identical matches: PlanAuto is the
+// scan of the committed segments, the forced modes run the feature-index
+// union it is judged against. The grid covers both kinds, spans up to the
+// window (where Algorithm 1 truncates earlier segments) and a reopen.
 func TestPlanModeEquivalence(t *testing.T) {
-	series := randomSeries(20, 500)
-	st := memStore(t, Options{Epsilon: 0.2, Window: 5000})
-	ingest(t, st, series)
-	for _, q := range []struct {
-		kind feature.Kind
-		T    int64
-		V    float64
-	}{
-		{feature.Drop, 1000, -3},
-		{feature.Drop, 5000, -1},
-		{feature.Jump, 2000, 2},
-	} {
-		auto, err := st.SearchMode(q.kind, q.T, q.V, sqlmini.PlanAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scan, err := st.SearchMode(q.kind, q.T, q.V, sqlmini.PlanForceScan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := st.SearchMode(q.kind, q.T, q.V, sqlmini.PlanForceIndex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(auto) != len(scan) || len(auto) != len(idx) {
-			t.Fatalf("%v T=%d V=%v: result counts differ auto=%d scan=%d idx=%d",
-				q.kind, q.T, q.V, len(auto), len(scan), len(idx))
-		}
-		for i := range auto {
-			if auto[i] != scan[i] || auto[i] != idx[i] {
-				t.Fatalf("match %d differs across modes", i)
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Epsilon: 0.2, Window: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, st, randomSeries(20, 500))
+	found := requireScanMatchesReference(t, st, "ingested")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if n := requireScanMatchesReference(t, st, "reopened"); n != found {
+		t.Fatalf("the reopened store found %d matches over the grid, the ingesting one %d", n, found)
+	}
+	if found == 0 {
+		t.Fatal("no grid point matched anything; the comparison was vacuous")
+	}
+}
+
+// requireScanMatchesReference runs a (kind, T, V) grid — T up to the
+// store's window — under every plan mode and fails unless the scan
+// (PlanAuto) and both reference plans return identical matches. It
+// returns the number of matches the grid found.
+func requireScanMatchesReference(t *testing.T, st *Store, step string) int {
+	t.Helper()
+	found := 0
+	for _, kind := range []feature.Kind{feature.Drop, feature.Jump} {
+		for _, T := range []int64{300, st.Window() / 2, st.Window()} {
+			for _, mag := range []float64{0.5, 2} {
+				V := mag
+				if kind == feature.Drop {
+					V = -mag
+				}
+				ref, err := st.SearchMode(kind, T, V, sqlmini.PlanForceIndex)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, mode := range []sqlmini.PlanMode{sqlmini.PlanAuto, sqlmini.PlanForceScan} {
+					got, err := st.SearchMode(kind, T, V, mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, ref) {
+						i := 0
+						for i < min(len(got), len(ref)) && got[i] == ref[i] {
+							i++
+						}
+						t.Fatalf("%s: %v T=%d V=%v: mode %v found %d matches, forced index %d; first difference at %d: %v vs %v",
+							step, kind, T, V, mode, len(got), len(ref), i, got[i:min(i+1, len(got))], ref[i:min(i+1, len(ref))])
+					}
+				}
+				found += len(ref)
 			}
 		}
 	}
+	return found
 }
 
 func TestCADEventRecovered(t *testing.T) {

@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"segdiff/internal/core"
+	"segdiff/internal/feature"
 	"segdiff/internal/naive"
 	"segdiff/internal/storage/faultfs"
+	"segdiff/internal/storage/sqlmini"
 )
 
 var matrixSeeds = []int64{1, 2, 3, 4, 5}
@@ -176,7 +179,8 @@ func TestCrashDeterministicRecovery(t *testing.T) {
 // TestCrashTransientWriteErrors injects error-once-then-recover faults
 // (a failed write or fsync that does NOT kill the process) during the
 // batched ingest: the store must roll back to its last committed state,
-// accept the resumed feed in-process, and still satisfy Theorem 1.
+// accept the resumed feed in-process, still satisfy Theorem 1, and serve
+// from its segment mirror exactly what the feature-index reference holds.
 func TestCrashTransientWriteErrors(t *testing.T) {
 	w, err := NewWorkload(2)
 	if err != nil {
@@ -216,8 +220,16 @@ func TestCrashTransientWriteErrors(t *testing.T) {
 		if err := w.resume(st); err != nil {
 			t.Fatalf("op %d: resume after transient fault: %v", k, err)
 		}
-		if _, err := w.verifyDrops(st); err != nil {
+		served, err := w.verifyDrops(st)
+		if err != nil {
 			t.Fatalf("op %d: %v", k, err)
+		}
+		ref, err := st.SearchMode(feature.Drop, w.T, w.V, sqlmini.PlanForceIndex)
+		if err != nil {
+			t.Fatalf("op %d: reference search: %v", k, err)
+		}
+		if !slices.Equal(served, ref) {
+			t.Fatalf("op %d: SCAN DIVERGENCE after a transient fault: the scan found %d matches, the forced-index reference %d", k, len(served), len(ref))
 		}
 		if err := st.Close(); err != nil {
 			t.Fatalf("op %d: close: %v", k, err)

@@ -12,12 +12,16 @@
 //   - bounded false positives: every returned period contains an event
 //     within 2ε of the threshold (plus integer-grid slope slack).
 //
-// It also judges the zone maps pruning relies on, which the engine derives
-// from the recovered heap pages at mount: after recovery, and again after
-// the resumed ingest, every page summary must cover the live rows of its
-// page, and a pruned forced-scan search must return exactly what the
-// forced-index search — which never consults zone maps — returns from the
-// same disk image.
+// It also judges the served search against its reference: the drop
+// search the store serves — a scan of the segment mirror derived from the
+// recovered segs table at mount and extended by the resumed ingest — must
+// return exactly what the feature-index union returns from the same store
+// under a forced sequential scan. And it judges the zone maps that forced
+// scan prunes with, which the engine derives from the recovered heap pages
+// at mount: after recovery, and again after the resumed ingest, every page
+// summary must cover the live rows of its page, and the pruned forced-scan
+// search must return exactly what the forced-index search — which never
+// consults zone maps — returns from the same disk image.
 //
 // The workload pins UnionWorkers and WriteWorkers to 1 so the engine's
 // file-operation sequence is a pure function of the workload: crash point
@@ -209,8 +213,10 @@ func ScriptFor(k int64) faultfs.Script {
 
 // CrashResult is the outcome of one crash-point trial.
 type CrashResult struct {
-	CrashErr  error        // injected failure surfaced by the engine
-	Recovered []core.Match // drop matches of the recovered store
+	CrashErr error // injected failure surfaced by the engine
+	// Recovered holds the drop matches the recovered store serves (the
+	// scan), equal to its feature-index reference.
+	Recovered []core.Match
 	// ZoneSkipped counts the heap pages the recovered store's pruned
 	// forced-scan search skipped: above zero somewhere in a matrix, or its
 	// pruned-equals-forced-index check never exercised pruning.
@@ -223,8 +229,8 @@ type CrashResult struct {
 
 // CrashAt runs the workload in dir, power-cuts at write-class operation k,
 // reboots from the durable snapshot (driving WAL replay and recovery),
-// resumes and finishes the ingest, and verifies Theorem 1 and the zone
-// maps on the result.
+// resumes and finishes the ingest, and verifies Theorem 1, the served scan
+// against the feature-index reference, and the zone maps on the result.
 func (w *Workload) CrashAt(dir string, k int64) (*CrashResult, error) {
 	res := &CrashResult{}
 	st2, boot, err := w.crashAndRecover(dir, k, res)
@@ -249,6 +255,10 @@ func (w *Workload) CrashAt(dir string, k int64) (*CrashResult, error) {
 	pruned, err := st2.SearchMode(feature.Drop, w.T, w.V, sqlmini.PlanForceScan)
 	if err != nil {
 		return fail("pruned scan", err)
+	}
+	if !slices.Equal(res.Recovered, pruned) {
+		return fail("served search", fmt.Errorf("SCAN DIVERGENCE: the scan found %d matches %v, the forced-scan reference %d %v",
+			len(res.Recovered), res.Recovered, len(pruned), pruned))
 	}
 	res.ZoneSkipped = st2.DB().ZoneSkippedPages()
 	if err := st2.Close(); err != nil {

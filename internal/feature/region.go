@@ -58,7 +58,11 @@ func (r Region) ContainsPoint(p Point) bool {
 // meet the region. The paper's printed predicate contains a typo (it
 // evaluates the boundary at Δt = T starting from Δv” while multiplying by
 // (T − Δt')); the corrected evaluation from the left endpoint is used here
-// and is validated against exact geometry by the package tests.
+// and is validated against exact geometry by the package tests. The
+// interpolation runs in the order the stored-feature line query evaluates
+// it, Δv' + (Δv” − Δv')/(Δt” − Δt')·(T − Δt'), so both give bit-identical
+// answers; the outer conversion keeps the compiler from fusing the
+// multiply-add, which would round differently.
 func (r Region) CrossesEdge(p, q Point) bool {
 	if p.Dt > q.Dt {
 		p, q = q, p
@@ -66,7 +70,7 @@ func (r Region) CrossesEdge(p, q Point) bool {
 	if p.Dt == q.Dt {
 		return false // vertical or degenerate edge: endpoints cover it
 	}
-	atT := p.Dv + (q.Dv-p.Dv)*float64(r.T-p.Dt)/float64(q.Dt-p.Dt)
+	atT := p.Dv + float64((q.Dv-p.Dv)/float64(q.Dt-p.Dt)*float64(r.T-p.Dt))
 	if r.Kind == Drop {
 		return p.Dt <= r.T && p.Dv > r.V && q.Dt > r.T && q.Dv <= r.V && atT <= r.V
 	}

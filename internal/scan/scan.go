@@ -1,0 +1,186 @@
+// Package scan answers drop and jump searches with one pass over the
+// piecewise linear approximation itself, recomputing on demand the
+// ε-shifted boundary corners that feature extraction (internal/extract)
+// would store for each segment pair, and applying the point and line
+// queries of Section 4.4 to them in memory.
+//
+// Theorem 1 depends only on those corners, not on where they are kept, so
+// the pass returns exactly the pairs a search over the stored features
+// returns: it refines the same pairs Algorithm 1 pairs up (the degenerate
+// self pair of each segment AB, then every earlier CD ending after
+// t_B − w, truncated at t_B − w when it starts earlier), derives the same
+// boundaries with feature.ExtractBoundaries, and tests them with
+// feature.Region.MatchesBoundary.
+//
+// Most end segments cannot match at all. Every corner of a pair ending in
+// AB has Δv = v_AB − v_CD − ε (drops) for one endpoint value of each
+// segment, so min(v_B, v_A) − max(v over the candidate CDs) − ε bounds
+// every corner from below; a monotone deque keeps that max over the CDs
+// close enough in time (t_C ≥ t_B − T) to have a corner with Δt ≤ T, and
+// an end segment whose bound exceeds V is skipped without refining a
+// pair. A line query interpolates between corners and also needs one
+// corner inside the region, so the skip cannot drop a match. Jumps mirror
+// it (max for min, +ε, skip below V).
+package scan
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"math"
+	"slices"
+
+	"segdiff/internal/feature"
+	"segdiff/internal/segment"
+)
+
+// Match is one search result: the paper's tuple ((t_D, t_C), (t_B, t_A)).
+// The drop (or jump) starts somewhere in [TD, TC] and ends in [TB, TA].
+type Match struct {
+	TD, TC, TB, TA int64
+}
+
+// checkEvery is how many end segments the pass visits between two
+// context checks.
+const checkEvery = 1024
+
+// truncSlack widens a segment's value range by a relative margin that
+// covers the rounding of Segment.Value: a CD truncated at t_B − w starts
+// at an interpolated value, which can exceed max(v_D, v_C) (or undercut
+// the min) by a few ulps. The margin keeps the skip bound conservative.
+const truncSlack = 0x1p-48
+
+// Search returns every segment pair whose stored boundary of r's kind
+// meets r, over segs (the approximation in time order, as persisted),
+// with segmentation tolerance eps and window w. Only pairs whose end
+// segment AB ends after `after` are reported: earlier segments serve as
+// CDs only (retention keeps them for that). The result is sorted by
+// (TD, TB) and never nil. ctx is checked before the pass and every
+// checkEvery end segments; its error is wrapped.
+func Search(ctx context.Context, segs []segment.Segment, r feature.Region, eps float64, w int64, after int64) ([]Match, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("scan: %w", err)
+	}
+	drop := r.Kind == feature.Drop
+	// bound is the most extreme start value a CD of g can contribute:
+	// its max for drops, its min for jumps.
+	bound := func(g segment.Segment) float64 {
+		slack := truncSlack * (math.Abs(g.Vs) + math.Abs(g.Ve))
+		if drop {
+			return max(g.Vs, g.Ve) + slack
+		}
+		return min(g.Vs, g.Ve) - slack
+	}
+	// further reports whether a is at least as extreme as b.
+	further := func(a, b float64) bool {
+		if drop {
+			return a >= b
+		}
+		return a <= b
+	}
+	// skip reports whether no corner with end values of ab and start
+	// value at most (drops) or at least (jumps) start can meet r.
+	skip := func(ab segment.Segment, start float64) bool {
+		if drop {
+			return min(ab.Vs, ab.Ve)-start-eps > r.V
+		}
+		return max(ab.Vs, ab.Ve)-start+eps < r.V
+	}
+
+	type entry struct {
+		te int64
+		v  float64
+	}
+	var dq []entry // candidate CDs, oldest first, bounds strictly decreasing in extremity
+	head := 0
+	out := []Match{}
+	for j, ab := range segs {
+		if j > 0 {
+			e := entry{segs[j-1].Te, bound(segs[j-1])}
+			for len(dq) > head && further(e.v, dq[len(dq)-1].v) {
+				dq = dq[:len(dq)-1]
+			}
+			dq = append(dq, e)
+		}
+		// A CD ending before t_B − T has every corner at Δt > T.
+		lim := ab.Ts - r.T
+		for head < len(dq) && dq[head].te < lim {
+			head++
+		}
+		if head > 64 && 2*head > len(dq) {
+			dq = dq[:copy(dq, dq[head:])]
+			head = 0
+		}
+		if j%checkEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("scan: %w", err)
+			}
+		}
+		if ab.Te <= after {
+			continue
+		}
+		start := ab.Vs // the self pair's CD is the point B
+		if head < len(dq) && further(dq[head].v, start) {
+			start = dq[head].v
+		}
+		if skip(ab, start) {
+			continue
+		}
+
+		if !skip(ab, ab.Vs) {
+			p, err := feature.SelfPair(ab)
+			if err != nil {
+				return nil, err
+			}
+			if out, err = refine(out, p, r, eps); err != nil {
+				return nil, err
+			}
+		}
+		winStart := ab.Ts - w
+		for i := j - 1; i >= 0; i-- {
+			cd := segs[i]
+			if cd.Te < lim || cd.Te <= winStart {
+				break
+			}
+			if cd.Ts < winStart {
+				// Truncate CD at the window start, as extraction does.
+				cd = segment.Segment{Ts: winStart, Vs: cd.Value(winStart), Te: cd.Te, Ve: cd.Ve}
+			}
+			start := max(cd.Vs, cd.Ve)
+			if !drop {
+				start = min(cd.Vs, cd.Ve)
+			}
+			if skip(ab, start) {
+				continue
+			}
+			p, err := feature.NewParallelogram(cd, ab)
+			if err != nil {
+				return nil, err
+			}
+			if out, err = refine(out, p, r, eps); err != nil {
+				return nil, err
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b Match) int {
+		if c := cmp.Compare(a.TD, b.TD); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.TB, b.TB)
+	})
+	return out, nil
+}
+
+// refine appends p's pair to out if its stored boundary of r's kind meets r.
+func refine(out []Match, p feature.Parallelogram, r feature.Region, eps float64) ([]Match, error) {
+	bs, err := feature.ExtractBoundaries(p, eps)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range bs {
+		if r.MatchesBoundary(b) {
+			return append(out, Match{TD: b.TD, TC: b.TC, TB: b.TB, TA: b.TA}), nil
+		}
+	}
+	return out, nil
+}

@@ -246,8 +246,9 @@ func (s *Server) handleSensors(w http.ResponseWriter, _ *http.Request) error {
 	return writeJSON(w, map[string][]string{"sensors": names})
 }
 
-// handleExplain is the EXPLAIN ANALYZE passthrough: it traces one
-// sensor's search and returns the annotated plan as JSON.
+// handleExplain is the EXPLAIN ANALYZE passthrough: it traces the
+// feature-index reference plan of one sensor's search and returns the
+// annotated plan as JSON.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	p, err := parseExplainParams(r.URL.Query(), s.maxSpan())
 	if err != nil {

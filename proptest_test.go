@@ -109,13 +109,14 @@ func TestPropertyDifferentialOracle(t *testing.T) {
 }
 
 // TestPropertyFusedScanIdentity is the property-based identity test for
-// the fused shared-scan execution path: the same randomized workload and
-// queries, answered under every PlanMode by union pools of size 1 and
-// GOMAXPROCS, must produce identical matches, and the serial
-// forced-index answer — the path that never consults zone maps — must
-// satisfy Theorem 1 against the naive oracle. Any divergence is a
-// correctness bug: fusion, pruning and the pool are pure
-// execution-strategy choices.
+// the served scan and the fused shared-scan reference path: the same
+// randomized workload and queries, answered under every PlanMode by union
+// pools of size 1 and GOMAXPROCS, must produce identical matches, and the
+// serial forced-index answer — the path that never consults zone maps —
+// must satisfy Theorem 1 against the naive oracle. PlanAuto is the scan
+// of the committed segments (internal/scan); the forced modes run the
+// feature-index union. Any divergence is a correctness bug: the scan,
+// fusion, pruning and the pool are pure execution-strategy choices.
 func TestPropertyFusedScanIdentity(t *testing.T) {
 	nSeries, nQueries := 6, 5
 	if testing.Short() {

@@ -11,9 +11,13 @@
 //  2. summarizing all potential events between every pair of nearby
 //     segments as a parallelogram in (Δt, Δv) feature space, storing only
 //     the ε-shifted boundary corners needed for intersection tests, and
-//  3. translating each search into standard relational range queries over
-//     B-tree-indexed feature tables (served by an embedded storage engine
-//     written for this library).
+//  3. answering each search with one pass over the stored segments that
+//     recomputes the corners of the pairs that can still match and applies
+//     the paper's point and line queries to them. The corners are also
+//     stored in B-tree-indexed feature tables (served by an embedded
+//     storage engine written for this library); the paper's relational
+//     range queries over them are the reference the pass is tested
+//     against, and what ExplainDrops traces.
 //
 // Results come with the paper's Theorem 1 guarantee: no true event is
 // missed, and every reported period contains an event within 2ε of the
@@ -41,19 +45,19 @@
 // # Concurrency
 //
 // Searches are safe to issue from any number of goroutines and run in
-// parallel end to end: the embedded engine serves queries under a shared
-// read lock, its buffer pool admits concurrent readers, and each search's
-// union of point and line queries is itself evaluated on a bounded worker
-// pool. Options.SearchConcurrency tunes the fan-out (default GOMAXPROCS).
+// parallel end to end: each reads an immutable snapshot of the committed
+// segments, published after every commit, and takes no engine lock, so a
+// search never waits on ingest. Options.SearchConcurrency bounds how many
+// sensors a Collection searches at once (default GOMAXPROCS).
 //
 // The write path is batched: Append buffers rows in memory and Sync (or
 // Finish/Close) pushes them through the engine in bulk — one writer-lock
 // acquisition per table, each secondary index applied as a sorted run on
 // its own worker (Options.IngestConcurrency), and one WAL group commit, so
-// a whole batch costs a single fsync. Ingestion into one Index (Append,
-// Sync, Finish, Prune) must stay single-goroutine; it blocks searches only
-// for the duration of each write. A Collection ingests many sensors in
-// parallel via AppendAll.
+// a whole batch costs a single fsync. The batch's segments become
+// searchable once that commit succeeds. Ingestion into one Index (Append,
+// Sync, Abort, Finish, Prune) must stay single-goroutine. A Collection
+// ingests many sensors in parallel via AppendAll.
 package segdiff
 
 import (
@@ -107,10 +111,11 @@ type Options struct {
 	// pages (default 1024).
 	CachePages int
 	// SearchConcurrency bounds the read-path parallelism (default
-	// runtime.GOMAXPROCS): the number of union branches (point and line
-	// queries) one search evaluates concurrently, and the number of
-	// sensors a Collection searches concurrently. Set it to 1 for fully
-	// sequential searches; it never affects results, only latency.
+	// runtime.GOMAXPROCS): the number of sensors a Collection searches
+	// concurrently, and the number of union branches (point and line
+	// queries) the feature-index reference behind Explain evaluates
+	// concurrently. Set it to 1 for fully sequential searches; it never
+	// affects results, only latency.
 	SearchConcurrency int
 	// IngestConcurrency bounds the write-path parallelism (default
 	// runtime.GOMAXPROCS): the number of secondary indexes one batch
@@ -134,11 +139,10 @@ func (o Options) toCore() core.Options {
 
 // Index is a drop/jump search index over a single time series (one
 // sensor). It is safe for concurrent searches, which execute genuinely in
-// parallel: the storage engine serves them under a shared read lock and
-// splits each search's union of point and line queries across a bounded
-// worker pool (Options.SearchConcurrency). Ingestion must be
-// single-goroutine; an Append or Sync concurrent with searches simply
-// blocks on the engine's writer lock and never corrupts results.
+// parallel: each scans the last committed snapshot of the segments
+// without taking the storage engine's lock, so an Append or Sync
+// concurrent with searches neither blocks them nor changes what they
+// see until its commit succeeds. Ingestion must be single-goroutine.
 type Index struct {
 	st *core.Store
 }
@@ -211,8 +215,8 @@ func (ix *Index) Jumps(span time.Duration, v float64) ([]Match, error) {
 
 // DropsContext is Drops under a request context: the search aborts with
 // an error wrapping ctx.Err() as soon as the deadline expires or the
-// caller cancels, checked between the bounded scan units of the search
-// union, so servers can enforce per-request deadlines.
+// caller cancels, checked before the scan and every 1024 segments of it,
+// so servers can enforce per-request deadlines.
 func (ix *Index) DropsContext(ctx context.Context, span time.Duration, v float64) ([]Match, error) {
 	return ix.search(ctx, feature.Drop, span, v)
 }
@@ -264,9 +268,12 @@ type QueryTrace struct {
 	PagesRead    uint64        `json:"pages_read"`
 }
 
-// ExplainDrops runs a drop search under EXPLAIN ANALYZE and returns its
-// runtime trace. The search executes exactly as Drops would, but
-// sequentially so page attribution stays per scan unit.
+// ExplainDrops runs the feature-index reference plan of a drop search —
+// the paper's union of point and line queries over the stored corners —
+// under EXPLAIN ANALYZE and returns its runtime trace. It traces that
+// reference, not the scan Drops serves; both return the same matches.
+// The union executes sequentially so page attribution stays per scan
+// unit.
 func (ix *Index) ExplainDrops(span time.Duration, v float64) (QueryTrace, error) {
 	return ix.explain(feature.Drop, span, v)
 }
@@ -352,9 +359,11 @@ func (ix *Index) Segments() ([]Segment, error) {
 	return out, nil
 }
 
-// Prune removes all indexed history strictly before the cutoff timestamp
-// (retention for long-running deployments). Pruned periods are no longer
-// searchable. It returns the number of feature rows removed.
+// Prune removes all indexed history up to the cutoff timestamp
+// (retention for long-running deployments): a match survives iff its
+// To.End is after the cutoff. Pruned periods are no longer searchable,
+// and Segments no longer lists segments ending at or before the cutoff.
+// It returns the number of feature rows removed.
 func (ix *Index) Prune(before int64) (int, error) { return ix.st.Prune(before) }
 
 // Denoise applies the paper's preprocessing: a robust local-linear
