@@ -1,7 +1,6 @@
 package segdiff
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -143,26 +142,20 @@ func (c *Client) search(ctx context.Context, path string, span time.Duration, v 
 	}
 	defer resp.Body.Close()
 
-	// The response is NDJSON, one SensorMatches per line; decoding with
-	// a stream decoder keeps memory at one line rather than one body.
+	// The response is NDJSON, one SensorMatches per line. One stream
+	// decoder reads it value by value, so memory stays at one line
+	// however long a sensor's line grows.
 	results := []SensorMatches{}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	dec := json.NewDecoder(resp.Body)
+	for {
 		var sm SensorMatches
-		if err := json.Unmarshal(line, &sm); err != nil {
+		if err := dec.Decode(&sm); err == io.EOF {
+			return results, nil
+		} else if err != nil {
 			return nil, fmt.Errorf("segdiff: decoding %s line %d: %w", path, len(results)+1, err)
 		}
 		results = append(results, sm)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // Sensors lists the collection's sensors via GET /v1/sensors.

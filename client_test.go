@@ -1,7 +1,9 @@
 package segdiff_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -145,6 +147,47 @@ func TestClientAgainstBrokenServer(t *testing.T) {
 	}
 	if _, err := cl.Explain(ctx, "x", true, time.Hour, 3); err == nil {
 		t.Fatal("garbage explain response did not error")
+	}
+}
+
+// TestClientDecodesLongLine streams a search response whose first line
+// is over 17 MiB — a broad drop on one long history returns hundreds of
+// thousands of pairs — and expects every line back whole.
+func TestClientDecodesLongLine(t *testing.T) {
+	const base = 1_700_000_000
+	deep := make([]segdiff.Match, 200_000)
+	for i := range deep {
+		t0 := int64(base + 60*i)
+		deep[i] = segdiff.Match{
+			From: segdiff.Interval{Start: t0, End: t0 + 60},
+			To:   segdiff.Interval{Start: t0 + 3600, End: t0 + 3660},
+		}
+	}
+	want := []segdiff.SensorMatches{
+		{Sensor: "deep", Matches: deep},
+		{Sensor: "quiet", Matches: []segdiff.Match{}},
+	}
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, sm := range want {
+		if err := enc.Encode(sm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := bytes.IndexByte(body.Bytes(), '\n'); n <= 17<<20 {
+		t.Fatalf("first line is %d bytes, want over 17 MiB", n)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Write(body.Bytes())
+	}))
+	defer srv.Close()
+	got, err := segdiff.NewClient(srv.URL, nil).Drops(context.Background(), time.Hour, -3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %d sensors back, want %d with %d and 0 matches", len(got), len(want), len(deep))
 	}
 }
 

@@ -1,6 +1,9 @@
 package feature
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Boundary is the stored feature for one (segment pair, search kind): the
 // ε-shifted corner points of the parallelogram boundary that a query
@@ -34,93 +37,120 @@ func identicalCorner(a, b Point) bool {
 }
 
 // ExtractBoundaries applies the case analysis of Section 4.3.1 (Table 2 and
-// the Appendix) to parallelogram p: it selects the necessary corner points
-// for drop and jump detection, applies the ε-shift of Lemma 4 (down for
-// drops, up for jumps), and applies the storage gates that skip boundaries
-// which can never satisfy a drop (V < 0) or jump (V > 0) query. The result
-// contains at most one Drop and one Jump boundary.
+// the Appendix) to parallelogram p for both kinds: the result holds the
+// Drop boundary, then the Jump boundary, each present unless its storage
+// gate skips it (see BoundaryCorners).
 func ExtractBoundaries(p Parallelogram, epsilon float64) ([]Boundary, error) {
-	if epsilon < 0 {
-		return nil, fmt.Errorf("feature: negative epsilon %v", epsilon)
-	}
 	var out []Boundary
-
-	add := func(kind Kind, d float64, corners ...Point) {
-		b := Boundary{Kind: kind, Case: p.Case, TD: p.TD, TC: p.TC, TB: p.TB, TA: p.TA}
-		for _, c := range corners {
-			sc := shift(c, d)
-			// Degenerate pairs (zero-length CD) repeat a corner; the
-			// duplicate adds nothing to point or line queries.
-			if n := len(b.Corners); n > 0 && identicalCorner(b.Corners[n-1], sc) {
-				continue
-			}
-			b.Corners = append(b.Corners, sc)
+	for _, kind := range [...]Kind{Drop, Jump} {
+		cs, n, err := BoundaryCorners(p, epsilon, kind)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, b)
+		if n > 0 {
+			out = append(out, Boundary{
+				Kind: kind, Case: p.Case, Corners: slices.Clone(cs[:n]),
+				TD: p.TD, TC: p.TC, TB: p.TB, TA: p.TA,
+			})
+		}
 	}
-	addDrop := func(corners ...Point) { add(Drop, -epsilon, corners...) }
-	addJump := func(corners ...Point) { add(Jump, epsilon, corners...) }
+	return out, nil
+}
 
+// BoundaryCorners returns the corners of p's stored boundary of one kind
+// without allocating: it selects the necessary corner points of Table 2,
+// applies the ε-shift of Lemma 4 (down for drops, up for jumps) and drops
+// consecutive duplicates, leaving the n corners in cs[:n] in ascending Δt.
+// n = 0 means the storage gate skips the boundary: it can never satisfy a
+// drop (V < 0) or jump (V > 0) query.
+func BoundaryCorners(p Parallelogram, epsilon float64, kind Kind) (cs [3]Point, n int, err error) {
+	if epsilon < 0 {
+		return cs, 0, fmt.Errorf("feature: negative epsilon %v", epsilon)
+	}
+	if kind != Drop && kind != Jump {
+		return cs, 0, fmt.Errorf("feature: unknown kind %v", kind)
+	}
+	drop := kind == Drop
 	e := epsilon
+	var sel [3]Point // the unshifted corners Table 2 selects
+	m := 0
 	switch p.Case {
 	case Case1: // k_CD ≥ 0, k_AB ≤ 0
-		if p.AC.Dv-e <= 0 {
-			addDrop(p.BC, p.AC)
-		}
-		if p.BD.Dv+e >= 0 {
-			addJump(p.BC, p.BD)
+		switch {
+		case drop && p.AC.Dv-e <= 0:
+			sel, m = [3]Point{p.BC, p.AC}, 2
+		case !drop && p.BD.Dv+e >= 0:
+			sel, m = [3]Point{p.BC, p.BD}, 2
 		}
 	case Case2: // k_CD ≥ 0, k_AB ≥ k_CD
-		if p.BC.Dv-e <= 0 {
-			addDrop(p.BC)
-		}
 		switch {
+		case drop:
+			if p.BC.Dv-e <= 0 {
+				sel, m = [3]Point{p.BC}, 1
+			}
 		case p.AC.Dv+e >= 0:
-			addJump(p.BC, p.AC, p.AD)
+			sel, m = [3]Point{p.BC, p.AC, p.AD}, 3
 		case p.AD.Dv+e >= 0:
-			addJump(p.AC, p.AD)
+			sel, m = [3]Point{p.AC, p.AD}, 2
 		}
 	case Case3: // k_CD ≥ 0, 0 < k_AB < k_CD — case 2 with AC ↔ BD
-		if p.BC.Dv-e <= 0 {
-			addDrop(p.BC)
-		}
 		switch {
+		case drop:
+			if p.BC.Dv-e <= 0 {
+				sel, m = [3]Point{p.BC}, 1
+			}
 		case p.BD.Dv+e >= 0:
-			addJump(p.BC, p.BD, p.AD)
+			sel, m = [3]Point{p.BC, p.BD, p.AD}, 3
 		case p.AD.Dv+e >= 0:
-			addJump(p.BD, p.AD)
+			sel, m = [3]Point{p.BD, p.AD}, 2
 		}
 	case Case4: // k_CD < 0, k_AB ≥ 0
-		if p.BD.Dv-e <= 0 {
-			addDrop(p.BC, p.BD)
-		}
-		if p.AC.Dv+e >= 0 {
-			addJump(p.BC, p.AC)
+		switch {
+		case drop && p.BD.Dv-e <= 0:
+			sel, m = [3]Point{p.BC, p.BD}, 2
+		case !drop && p.AC.Dv+e >= 0:
+			sel, m = [3]Point{p.BC, p.AC}, 2
 		}
 	case Case5: // k_CD < 0, k_AB ≤ k_CD
 		switch {
+		case !drop:
+			if p.BC.Dv+e >= 0 {
+				sel, m = [3]Point{p.BC}, 1
+			}
 		case p.AC.Dv-e <= 0:
-			addDrop(p.BC, p.AC, p.AD)
+			sel, m = [3]Point{p.BC, p.AC, p.AD}, 3
 		case p.AD.Dv-e <= 0:
-			addDrop(p.AC, p.AD)
-		}
-		if p.BC.Dv+e >= 0 {
-			addJump(p.BC)
+			sel, m = [3]Point{p.AC, p.AD}, 2
 		}
 	case Case6: // k_CD < 0, k_CD < k_AB < 0 — case 5 with AC ↔ BD
 		switch {
+		case !drop:
+			if p.BC.Dv+e >= 0 {
+				sel, m = [3]Point{p.BC}, 1
+			}
 		case p.BD.Dv-e <= 0:
-			addDrop(p.BC, p.BD, p.AD)
+			sel, m = [3]Point{p.BC, p.BD, p.AD}, 3
 		case p.AD.Dv-e <= 0:
-			addDrop(p.BD, p.AD)
-		}
-		if p.BC.Dv+e >= 0 {
-			addJump(p.BC)
+			sel, m = [3]Point{p.BD, p.AD}, 2
 		}
 	default:
-		return nil, fmt.Errorf("feature: unknown case %v", p.Case)
+		return cs, 0, fmt.Errorf("feature: unknown case %v", p.Case)
 	}
-	return out, nil
+	d := -e
+	if !drop {
+		d = e
+	}
+	for _, c := range sel[:m] {
+		sc := shift(c, d)
+		// Degenerate pairs (zero-length CD) repeat a corner; the
+		// duplicate adds nothing to point or line queries.
+		if n > 0 && identicalCorner(cs[n-1], sc) {
+			continue
+		}
+		cs[n] = sc
+		n++
+	}
+	return cs, n, nil
 }
 
 // AllCornersBoundary returns the un-reduced alternative used by the A1

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"math/rand"
 	"testing"
 
 	"segdiff/internal/segment"
@@ -184,6 +185,37 @@ func TestExtractBoundariesNegativeEpsilon(t *testing.T) {
 	}
 	if _, err := ExtractBoundaries(p, -0.1); err == nil {
 		t.Fatal("negative epsilon accepted")
+	}
+}
+
+// TestBoundaryCornersAllocatesNothing pins the corner selection the
+// served scan runs once per refined pair to the stack, for every case and
+// both kinds, and its rejection of a kind that is neither.
+func TestBoundaryCornersAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	seen := map[Case]bool{}
+	for len(seen) < 6 {
+		cd, ab := randomPair(rng)
+		p, err := NewParallelogram(cd, ab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[p.Case] {
+			continue
+		}
+		seen[p.Case] = true
+		for _, kind := range []Kind{Drop, Jump} {
+			if a := testing.AllocsPerRun(100, func() {
+				if _, _, err := BoundaryCorners(p, 0.2, kind); err != nil {
+					t.Fatal(err)
+				}
+			}); a != 0 {
+				t.Fatalf("%v %v: %v allocations per call, want 0", p.Case, kind, a)
+			}
+		}
+		if _, _, err := BoundaryCorners(p, 0.2, Kind(7)); err == nil {
+			t.Fatal("unknown kind accepted")
+		}
 	}
 }
 

@@ -78,20 +78,23 @@ func (r Region) CrossesEdge(p, q Point) bool {
 }
 
 // MatchesBoundary reports whether the stored boundary intersects the
-// region: the union of point queries on its corners and line queries on
-// its consecutive corner pairs. The boundary's kind must equal the
-// region's kind.
+// region (see MatchesCorners). The boundary's kind must equal the region's
+// kind.
 func (r Region) MatchesBoundary(b Boundary) bool {
-	if b.Kind != r.Kind {
-		return false
-	}
-	for _, c := range b.Corners {
+	return b.Kind == r.Kind && r.MatchesCorners(b.Corners)
+}
+
+// MatchesCorners reports whether the boundary with corners cs (of r's
+// kind, in ascending Δt) intersects the region: the union of point queries
+// on its corners and line queries on its consecutive corner pairs.
+func (r Region) MatchesCorners(cs []Point) bool {
+	for _, c := range cs {
 		if r.ContainsPoint(c) {
 			return true
 		}
 	}
-	for i := 0; i+1 < len(b.Corners); i++ {
-		if r.CrossesEdge(b.Corners[i], b.Corners[i+1]) {
+	for i := 0; i+1 < len(cs); i++ {
+		if r.CrossesEdge(cs[i], cs[i+1]) {
 			return true
 		}
 	}

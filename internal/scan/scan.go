@@ -9,8 +9,10 @@
 // returns: it refines the same pairs Algorithm 1 pairs up (the degenerate
 // self pair of each segment AB, then every earlier CD ending after
 // t_B − w, truncated at t_B − w when it starts earlier), derives the same
-// boundaries with feature.ExtractBoundaries, and tests them with
-// feature.Region.MatchesBoundary.
+// corners with feature.BoundaryCorners (the case analysis behind the
+// extractor's feature.ExtractBoundaries, without its allocations), and
+// tests them with feature.Region.MatchesCorners (the predicate behind
+// MatchesBoundary).
 //
 // Most end segments cannot match at all. Every corner of a pair ending in
 // AB has Δv = v_AB − v_CD − ε (drops) for one endpoint value of each
@@ -24,7 +26,6 @@
 package scan
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -162,25 +163,65 @@ func Search(ctx context.Context, segs []segment.Segment, r feature.Region, eps f
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b Match) int {
-		if c := cmp.Compare(a.TD, b.TD); c != 0 {
-			return c
+	return sortByTD(out), nil
+}
+
+// radixBits is the digit width of sortByTD: 2^11 counters fit in L1,
+// and three passes cover the ~2^26 s that a 540-day history spans.
+const radixBits = 11
+
+// sortByTD sorts ms by TD with a stable LSD radix sort over TD − min(TD)
+// and returns the sorted slice, which is ms or a scratch slice of the
+// same length. Search emits its end segments in ascending TB, so equal
+// TDs arrive in TB order and the stable sort leaves ms ordered by
+// (TD, TB).
+func sortByTD(ms []Match) []Match {
+	if len(ms) < 2 {
+		return ms
+	}
+	lo, hi := ms[0].TD, ms[0].TD
+	for _, m := range ms[1:] {
+		lo, hi = min(lo, m.TD), max(hi, m.TD)
+	}
+	span := uint64(hi) - uint64(lo)
+	if span == 0 {
+		return ms
+	}
+	src, dst := ms, make([]Match, len(ms))
+	for shift := uint(0); shift < 64 && span>>shift != 0; shift += radixBits {
+		digit := func(m Match) uint64 { return (uint64(m.TD) - uint64(lo)) >> shift & (1<<radixBits - 1) }
+		var next [1 << radixBits]int
+		for _, m := range src {
+			next[digit(m)]++
 		}
-		return cmp.Compare(a.TB, b.TB)
-	})
-	return out, nil
+		sum := 0
+		for i, c := range next {
+			next[i] = sum
+			sum += c
+		}
+		for _, m := range src {
+			d := digit(m)
+			dst[next[d]] = m
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // refine appends p's pair to out if its stored boundary of r's kind meets r.
 func refine(out []Match, p feature.Parallelogram, r feature.Region, eps float64) ([]Match, error) {
-	bs, err := feature.ExtractBoundaries(p, eps)
+	cs, n, err := feature.BoundaryCorners(p, eps, r.Kind)
 	if err != nil {
 		return nil, err
 	}
-	for _, b := range bs {
-		if r.MatchesBoundary(b) {
-			return append(out, Match{TD: b.TD, TC: b.TC, TB: b.TB, TA: b.TA}), nil
+	if r.MatchesCorners(cs[:n]) {
+		if len(out) == cap(out) {
+			// Double: append grows a large slice by 1.25×, which
+			// allocates ~5× the final output and copies it ~4 times.
+			out = slices.Grow(out, len(out)+1)
 		}
+		out = append(out, Match{TD: p.TD, TC: p.TC, TB: p.TB, TA: p.TA})
 	}
 	return out, nil
 }

@@ -193,11 +193,126 @@ func TestSearchContext(t *testing.T) {
 	}
 }
 
+// TestSearchOrder judges the radix sort: over random approximations with
+// negative timestamps and a gap that makes TD − min need five 11-bit
+// digits, Search's output must equal a (TD, TB) comparison sort of the
+// same pairs, and TDs must tie across end segments often enough that an
+// unstable sort would show.
+func TestSearchOrder(t *testing.T) {
+	const eps, w = 0.2, 3600
+	ties := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		segs := randomSegments(seed, 1500)
+		for i := range segs {
+			d := int64(-1) << 50
+			if i >= len(segs)/2 {
+				d += 1 << 45
+			}
+			segs[i].Ts += d
+			segs[i].Te += d
+		}
+		for _, kind := range []feature.Kind{feature.Drop, feature.Jump} {
+			for _, mag := range []float64{0.5, 3} {
+				V := mag
+				if kind == feature.Drop {
+					V = -mag
+				}
+				r, err := feature.NewRegion(kind, w, V)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Search(context.Background(), segs, r, eps, w, math.MinInt64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := slices.Clone(got)
+				slices.SortFunc(want, func(a, b Match) int {
+					if c := cmp.Compare(a.TD, b.TD); c != 0 {
+						return c
+					}
+					return cmp.Compare(a.TB, b.TB)
+				})
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d %v V=%v: match %d of %d is %+v, the (TD, TB) order has %+v", seed, kind, V, i, len(got), got[i], want[i])
+					}
+					if i > 0 && got[i].TD == got[i-1].TD {
+						ties++
+					}
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("vacuous order check: no TD ties across end segments")
+	}
+}
+
+// TestRefineAllocatesNothing pins the per-pair cost of the pass: refining
+// a pair selects and tests its corners on the stack.
+func TestRefineAllocatesNothing(t *testing.T) {
+	p, err := feature.NewParallelogram(
+		segment.Segment{Ts: 0, Vs: 10, Te: 100, Ve: 10},
+		segment.Segment{Ts: 100, Vs: 0, Te: 200, Ve: 0},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := feature.NewRegion(feature.Drop, 3600, -5)
+	out := make([]Match, 0, 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		if out, err = refine(out[:0], p, r, 0.2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || len(out) != 1 {
+		t.Fatalf("refine allocated %v times per pair and found %d matches, want 0 and 1", allocs, len(out))
+	}
+}
+
+// broadSearch is a drop search with T = w over 20 000 segments that
+// refines a few hundred thousand pairs.
+func broadSearch() ([]segment.Segment, feature.Region, float64, int64) {
+	const w = 8 * 3600
+	r, _ := feature.NewRegion(feature.Drop, w, -2)
+	return randomSegments(1, 20000), r, 0.2, w
+}
+
+// TestSearchBroadAllocations checks that a broad search allocates for its
+// output (append growth plus the radix scratch) and its deque, not per
+// refined pair.
+func TestSearchBroadAllocations(t *testing.T) {
+	segs, r, eps, w := broadSearch()
+	var n int
+	allocs := testing.AllocsPerRun(1, func() {
+		got, err := Search(context.Background(), segs, r, eps, w, math.MinInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n = len(got)
+	})
+	if n < 100_000 || allocs > 100 {
+		t.Fatalf("broad search: %d matches in %v allocations, want at least 100000 in at most 100", n, allocs)
+	}
+	t.Logf("%d matches, %v allocations", n, allocs)
+}
+
 func BenchmarkSearch(b *testing.B) {
 	segs := randomSegments(1, 20000)
 	r, _ := feature.NewRegion(feature.Drop, 3600, -4)
 	for i := 0; i < b.N; i++ {
 		if _, err := Search(context.Background(), segs, r, 0.2, 8*3600, math.MinInt64); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSearchBroad(b *testing.B) {
+	segs, r, eps, w := broadSearch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Search(context.Background(), segs, r, eps, w, math.MinInt64); err != nil {
 			b.Fatal(err)
 		}
 	}

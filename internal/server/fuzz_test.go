@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"net/url"
 	"strings"
 	"testing"
@@ -96,6 +100,69 @@ func FuzzAppendBody(f *testing.F) {
 			if !segdiff.ValidSensorName(b.Sensor) {
 				t.Fatalf("decoder accepted invalid sensor name %q", b.Sensor)
 			}
+		}
+	})
+}
+
+// maxFuzzMatches caps the match slices FuzzAppendSensorMatches builds.
+const maxFuzzMatches = 100_000
+
+// FuzzAppendSensorMatches judges the hand encoder of /v1/drops and
+// /v1/jumps against encoding/json: for any sensor string (every valid
+// name, and the escaping fallback for the rest), nil, empty and long
+// match slices, any int64s and any write buffer size, the line it writes
+// must be byte-identical to json.NewEncoder(...).Encode of the same
+// SensorMatches. testdata/fuzz holds the checked-in corpus: nil and empty
+// slices, 10⁵ matches of extreme int64s, a 17-byte buffer, an escaped name.
+func FuzzAppendSensorMatches(f *testing.F) {
+	for _, s := range []struct {
+		sensor     string
+		n          uint32
+		nilMatches bool
+		a, b, c, d int64
+		bufSize    uint16
+	}{
+		{"alpha", 3, false, 0, 60, 120, 180, 0},
+		{"neg", 1000, false, -86400, -1, math.MinInt64 + 7, 3, 16},
+		{strings.Repeat("a", 300), 40, false, math.MaxInt64, 0, 1, -1, 1},
+		{"<a&b>", 2, false, 1, 2, 3, 4, 0},
+		{"quo\"te\\n\x00\u2028\xff é", 1, false, 5, 6, 7, 8, 0},
+		{"", 0, true, 0, 0, 0, 0, 0},
+	} {
+		f.Add(s.sensor, s.n, s.nilMatches, s.a, s.b, s.c, s.d, s.bufSize)
+	}
+	f.Fuzz(func(t *testing.T, sensor string, n uint32, nilMatches bool, a, b, c, d int64, bufSize uint16) {
+		sm := segdiff.SensorMatches{Sensor: sensor}
+		if !nilMatches {
+			sm.Matches = make([]segdiff.Match, n%(maxFuzzMatches+1))
+			for i := range sm.Matches {
+				k := int64(i)
+				sm.Matches[i] = segdiff.Match{
+					From: segdiff.Interval{Start: a + k, End: b - k},
+					To:   segdiff.Interval{Start: c ^ k, End: d * k},
+				}
+			}
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(sm); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		bw := bufio.NewWriterSize(&got, int(bufSize))
+		if err := appendSensorMatches(bw, sm); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			g, w := got.Bytes(), want.Bytes()
+			i := 0
+			for i < min(len(g), len(w)) && g[i] == w[i] {
+				i++
+			}
+			t.Fatalf("sensor %q, %d matches: encoder wrote %d bytes, encoding/json %d; first difference at byte %d: %q vs %q",
+				sensor, len(sm.Matches), len(g), len(w), i, g[i:min(len(g), i+40)], w[i:min(len(w), i+40)])
 		}
 	})
 }

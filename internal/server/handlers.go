@@ -196,10 +196,16 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, map[string]int{"sensors": len(sensors), "points": points})
 }
 
+// searchBufBytes sizes a search response's write buffer: each flush is
+// one chunk of the response, and a 4 KiB default would make a broad
+// answer of hundreds of kilobytes cost hundreds of write calls.
+const searchBufBytes = 64 << 10
+
 // searchHandler builds the shared drops/jumps handler. Results stream
 // as NDJSON: one line per sensor, in sensor-name order, each line a
-// SensorMatches object — so a thousand-sensor response renders
-// incrementally and a client can consume it line by line.
+// SensorMatches object as encoding/json writes it (appendSensorMatches)
+// — so a thousand-sensor response renders incrementally and a client can
+// consume it line by line.
 func (s *Server) searchHandler(jump bool) func(http.ResponseWriter, *http.Request) error {
 	return func(w http.ResponseWriter, r *http.Request) error {
 		p, err := parseSearchParams(r.URL.Query(), jump, s.maxSpan())
@@ -216,10 +222,9 @@ func (s *Server) searchHandler(jump bool) func(http.ResponseWriter, *http.Reques
 			return err
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		bw := bufio.NewWriter(w)
-		enc := json.NewEncoder(bw)
+		bw := bufio.NewWriterSize(w, searchBufBytes)
 		for i, sm := range results {
-			if err := enc.Encode(sm); err != nil {
+			if err := appendSensorMatches(bw, sm); err != nil {
 				return err
 			}
 			// Flush every few lines so large transects stream instead of
