@@ -176,7 +176,7 @@ func search(args []string) (err error) {
 	}
 	elapsed := time.Since(start)
 	for _, m := range matches {
-		fmt.Printf("%s starts in [%d, %d], ends in [%d, %d]\n", kind, m.TD, m.TC, m.TB, m.TA)
+		fmt.Printf("%s starts in [%d, %d], ends in [%d, %d]\n", kind, m.From.Start, m.From.End, m.To.Start, m.To.End)
 	}
 	fmt.Printf("%d periods in %v (ε=%.3g: every result contains an event within 2ε of V)\n",
 		len(matches), elapsed.Round(time.Microsecond), st.Epsilon())

@@ -130,12 +130,12 @@ func renderChart(segs []segment.Segment, matches []core.Match, lo, hi int64, wid
 
 	gutter := []byte(strings.Repeat(" ", width))
 	for _, m := range matches {
-		if m.TA < lo || m.TD > hi {
+		if m.To.End < lo || m.From.Start > hi {
 			continue
 		}
 		for c := 0; c < width; c++ {
 			t := colTime(c)
-			if t >= m.TD && t <= m.TA {
+			if t >= m.From.Start && t <= m.To.End {
 				gutter[c] = '#'
 			}
 		}

@@ -65,7 +65,7 @@ func verifyCmd(args []string) (err error) {
 	for _, e := range events {
 		covered := false
 		for _, m := range matches {
-			if m.TD <= e.T1 && e.T1 <= m.TC && m.TB <= e.T2 && e.T2 <= m.TA {
+			if m.From.Contains(e.T1) && m.To.Contains(e.T2) {
 				covered = true
 				break
 			}
@@ -93,20 +93,20 @@ func verifyCmd(args []string) (err error) {
 	slack := 2*maxSlope + 1e-9
 	loose := 0
 	for _, m := range matches {
-		lo := max64(m.TD, series.Start())
-		hi := min64(m.TA, series.End())
+		lo := max64(m.From.Start, series.Start())
+		hi := min64(m.To.End, series.End())
 		if lo > hi {
 			loose++
 			continue
 		}
 		d, ok, err := naive.ExtremeChange(series,
-			max64(m.TD, series.Start()), min64(m.TC, series.End()),
-			max64(m.TB, series.Start()), min64(m.TA, series.End()), T, true)
+			max64(m.From.Start, series.Start()), min64(m.From.End, series.End()),
+			max64(m.To.Start, series.Start()), min64(m.To.End, series.End()), T, true)
 		if err != nil || !ok || d > *v+2*eps+slack {
 			loose++
 			if loose <= 5 {
 				fmt.Printf("LOOSE: match (%d,%d,%d,%d) best drop %.3f vs bound %.3f (ok=%v err=%v)\n",
-					m.TD, m.TC, m.TB, m.TA, d, *v+2*eps, ok, err)
+					m.From.Start, m.From.End, m.To.Start, m.To.End, d, *v+2*eps, ok, err)
 			}
 		}
 	}

@@ -296,22 +296,10 @@ func BenchmarkIndexDropsSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexDropsSequentialUnion pins SearchConcurrency to 1,
-// approximating the pre-parallel engine: one client, union branches
-// evaluated one after another.
-func BenchmarkIndexDropsSequentialUnion(b *testing.B) {
-	ix := benchIndex(b, Options{Epsilon: 0.2, Window: 8 * time.Hour, SearchConcurrency: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.Drops(30*time.Minute, -4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkIndexDropsParallel measures aggregate search throughput with
-// GOMAXPROCS clients hammering one shared Index — the workload the
-// single-lock engine serialized completely.
+// GOMAXPROCS clients searching one shared Index at once. Each search scans
+// the published segment snapshot without a lock and takes its working
+// buffers from a shared pool, so throughput should scale with the cores.
 func BenchmarkIndexDropsParallel(b *testing.B) {
 	ix := benchIndex(b, Options{Epsilon: 0.2, Window: 8 * time.Hour})
 	b.ResetTimer()

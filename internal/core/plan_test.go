@@ -201,7 +201,7 @@ func standaloneSearch(t *testing.T, s *Store, kind feature.Kind, T int64, V floa
 			t.Fatal(err)
 		}
 		for _, row := range rows.Data {
-			m := Match{TD: row[0].I, TC: row[1].I, TB: row[2].I, TA: row[3].I}
+			m := rowMatch(row)
 			if !seen[m] {
 				seen[m] = true
 				out = append(out, m)
@@ -209,10 +209,10 @@ func standaloneSearch(t *testing.T, s *Store, kind feature.Kind, T int64, V floa
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].TD != out[j].TD {
-			return out[i].TD < out[j].TD
+		if out[i].From.Start != out[j].From.Start {
+			return out[i].From.Start < out[j].From.Start
 		}
-		return out[i].TB < out[j].TB
+		return out[i].To.Start < out[j].To.Start
 	})
 	return out
 }

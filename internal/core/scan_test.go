@@ -73,7 +73,7 @@ func TestPruneKeepsScanExact(t *testing.T) {
 			}
 			want[q.kind] = []Match{}
 			for _, m := range all {
-				if m.TA > c.before {
+				if m.To.End > c.before {
 					want[q.kind] = append(want[q.kind], m)
 				}
 			}

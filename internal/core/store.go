@@ -92,7 +92,8 @@ func (o Options) normalize() (Options, error) {
 }
 
 // Match is a search result: the paper's tuple ((t_D, t_C), (t_B, t_A)).
-// The drop (or jump) starts somewhere in [TD, TC] and ends in [TB, TA].
+// The drop (or jump) starts somewhere in From = [t_D, t_C] and ends in
+// To = [t_B, t_A].
 type Match = scan.Match
 
 // Store is a single-sensor SegDiff store. It keeps an in-memory mirror of
@@ -602,15 +603,23 @@ func (s *Store) search(ctx context.Context, kind feature.Kind, T int64, V float6
 	}
 	out := make([]Match, 0, rows.Len())
 	for _, row := range rows.Data {
-		out = append(out, Match{TD: row[0].I, TC: row[1].I, TB: row[2].I, TA: row[3].I})
+		out = append(out, rowMatch(row))
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].TD != out[j].TD {
-			return out[i].TD < out[j].TD
+		if out[i].From.Start != out[j].From.Start {
+			return out[i].From.Start < out[j].From.Start
 		}
-		return out[i].TB < out[j].TB
+		return out[i].To.Start < out[j].To.Start
 	})
 	return out, nil
+}
+
+// rowMatch reads a (td, tc, tb, ta) row of the reference union.
+func rowMatch(row []sqlmini.Value) Match {
+	return Match{
+		From: scan.Interval{Start: row[0].I, End: row[1].I},
+		To:   scan.Interval{Start: row[2].I, End: row[3].I},
+	}
 }
 
 // searchQuery is one point or line query of the union.

@@ -56,7 +56,7 @@ func ingest(t *testing.T, st *Store, s *timeseries.Series) {
 
 func covered(ms []Match, t1, t2 int64) bool {
 	for _, m := range ms {
-		if m.TD <= t1 && t1 <= m.TC && m.TB <= t2 && t2 <= m.TA {
+		if m.From.Contains(t1) && m.To.Contains(t2) {
 			return true
 		}
 	}
@@ -153,7 +153,7 @@ func TestFalsePositiveBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range matches {
-				d, ok, err := naive.ExtremeChange(series, m.TD, m.TC, m.TB, m.TA, q.T, true)
+				d, ok, err := naive.ExtremeChange(series, m.From.Start, m.From.End, m.To.Start, m.To.End, q.T, true)
 				if err != nil {
 					t.Fatalf("seed=%d match %+v: %v", seed, m, err)
 				}
@@ -180,7 +180,7 @@ func TestFalsePositiveBoundJumps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range matches {
-		d, ok, err := naive.ExtremeChange(series, m.TD, m.TC, m.TB, m.TA, 1000, false)
+		d, ok, err := naive.ExtremeChange(series, m.From.Start, m.From.End, m.To.Start, m.To.End, 1000, false)
 		if err != nil || !ok {
 			t.Fatalf("match %+v: ok=%v err=%v", m, ok, err)
 		}
@@ -288,7 +288,7 @@ func TestCADEventRecovered(t *testing.T) {
 	found := false
 	for _, m := range matches {
 		// The event's drop phase must intersect some match.
-		if m.TD <= e.Start+e.DropLen && e.Start <= m.TA {
+		if m.From.Start <= e.Start+e.DropLen && e.Start <= m.To.End {
 			found = true
 			break
 		}
@@ -534,7 +534,7 @@ func TestPrune(t *testing.T) {
 		t.Fatalf("prune did not shrink results: %d -> %d", len(before), len(after))
 	}
 	for _, m := range after {
-		if m.TA <= cutoff {
+		if m.To.End <= cutoff {
 			t.Fatalf("pruned-era match survived: %+v", m)
 		}
 	}
@@ -545,7 +545,7 @@ func TestPrune(t *testing.T) {
 		kept[m] = true
 	}
 	for _, m := range before {
-		if m.TA > cutoff && !kept[m] {
+		if m.To.End > cutoff && !kept[m] {
 			t.Fatalf("recent match %+v lost by prune", m)
 		}
 	}

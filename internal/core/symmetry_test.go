@@ -74,7 +74,11 @@ func TestTimeShiftInvariance(t *testing.T) {
 		t.Fatalf("match counts differ under time shift: %d vs %d", len(ma), len(mb))
 	}
 	for i := range ma {
-		want := Match{TD: ma[i].TD + shift, TC: ma[i].TC + shift, TB: ma[i].TB + shift, TA: ma[i].TA + shift}
+		want := ma[i]
+		want.From.Start += shift
+		want.From.End += shift
+		want.To.Start += shift
+		want.To.End += shift
 		if mb[i] != want {
 			t.Fatalf("match %d: got %+v, want shifted %+v", i, mb[i], want)
 		}

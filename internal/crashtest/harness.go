@@ -352,7 +352,7 @@ func (w *Workload) verifyDrops(st *core.Store) ([]core.Match, error) {
 	}
 	periods := make([]Period, len(matches))
 	for i, m := range matches {
-		periods[i] = Period{TD: m.TD, TC: m.TC, TB: m.TB, TA: m.TA}
+		periods[i] = Period{TD: m.From.Start, TC: m.From.End, TB: m.To.Start, TA: m.To.End}
 	}
 	if err := VerifyTheorem1(w.Series, feature.Drop, w.T, w.V, periods, MaxSlope(segs), st.Epsilon()); err != nil {
 		return nil, err
@@ -370,8 +370,8 @@ func baseNames(snap map[string][]byte) map[string][]byte {
 	return out
 }
 
-// Period is a returned search period ((t_D, t_C), (t_B, t_A)), decoupled
-// from the core and public match types so both can be verified.
+// Period is a returned search period ((t_D, t_C), (t_B, t_A)) in the
+// verifier's own flat form.
 type Period struct {
 	TD, TC, TB, TA int64
 }

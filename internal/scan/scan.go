@@ -14,6 +14,11 @@
 // tests them with feature.Region.MatchesCorners (the predicate behind
 // MatchesBoundary).
 //
+// The result is the only memory a search hands out: an exact-size slice
+// the caller owns. The pass appends into a buffer and the radix sort
+// ping-pongs through a second one, both reused across searches from a
+// pool inside this package that no caller ever sees.
+//
 // Most end segments cannot match at all. Every corner of a pair ending in
 // AB has Δv = v_AB − v_CD − ε (drops) for one endpoint value of each
 // segment, so min(v_B, v_A) − max(v over the candidate CDs) − ε bounds
@@ -29,17 +34,47 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"segdiff/internal/feature"
 	"segdiff/internal/segment"
 )
 
-// Match is one search result: the paper's tuple ((t_D, t_C), (t_B, t_A)).
-// The drop (or jump) starts somewhere in [TD, TC] and ends in [TB, TA].
-type Match struct {
-	TD, TC, TB, TA int64
+// Interval is a closed time interval [Start, End].
+type Interval struct {
+	Start int64 `json:"start"`
+	End   int64 `json:"end"`
 }
+
+// Contains reports whether t lies in the interval.
+func (iv Interval) Contains(t int64) bool { return iv.Start <= t && t <= iv.End }
+
+// Match is one search result, the paper's tuple ((t_D, t_C), (t_B, t_A)):
+// the drop (or jump) starts somewhere in From = [t_D, t_C] and ends
+// somewhere in To = [t_B, t_A]. It is the one match type from the pass to
+// the wire: the public segdiff.Match is an alias of it.
+type Match struct {
+	From Interval `json:"from"`
+	To   Interval `json:"to"`
+}
+
+// entry is one candidate CD of the skip bound's deque.
+type entry struct {
+	te int64
+	v  float64
+}
+
+// buffers are one search's working memory: the pass's unsorted output,
+// the radix sort's scratch and the skip bound's deque. They are pooled
+// across searches and never escape Search.
+type buffers struct {
+	out, tmp []Match
+	dq       []entry
+}
+
+var bufPool = sync.Pool{New: func() any { return new(buffers) }}
 
 // checkEvery is how many end segments the pass visits between two
 // context checks.
@@ -56,12 +91,25 @@ const truncSlack = 0x1p-48
 // with segmentation tolerance eps and window w. Only pairs whose end
 // segment AB ends after `after` are reported: earlier segments serve as
 // CDs only (retention keeps them for that). The result is sorted by
-// (TD, TB) and never nil. ctx is checked before the pass and every
-// checkEvery end segments; its error is wrapped.
+// (t_D, t_B), never nil, exactly as long as it needs to be and owned by
+// the caller. ctx is checked before the pass and every checkEvery end
+// segments; its error is wrapped.
 func Search(ctx context.Context, segs []segment.Segment, r feature.Region, eps float64, w int64, after int64) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
 	}
+	b := bufPool.Get().(*buffers)
+	defer bufPool.Put(b)
+	out, err := b.pass(ctx, segs, r, eps, w, after)
+	if err != nil {
+		return nil, err
+	}
+	return b.sortByTD(out), nil
+}
+
+// pass appends to b.out every pair of segs that meets r, in ascending
+// t_B, and returns b.out.
+func (b *buffers) pass(ctx context.Context, segs []segment.Segment, r feature.Region, eps float64, w int64, after int64) ([]Match, error) {
 	drop := r.Kind == feature.Drop
 	// bound is the most extreme start value a CD of g can contribute:
 	// its max for drops, its min for jumps.
@@ -88,13 +136,10 @@ func Search(ctx context.Context, segs []segment.Segment, r feature.Region, eps f
 		return max(ab.Vs, ab.Ve)-start+eps < r.V
 	}
 
-	type entry struct {
-		te int64
-		v  float64
-	}
-	var dq []entry // candidate CDs, oldest first, bounds strictly decreasing in extremity
+	dq := b.dq[:0] // candidate CDs, oldest first, bounds strictly decreasing in extremity
 	head := 0
-	out := []Match{}
+	out := b.out[:0]
+	defer func() { b.out, b.dq = out, dq }() // keep what grew for the next search
 	for j, ab := range segs {
 		if j > 0 {
 			e := entry{segs[j-1].Te, bound(segs[j-1])}
@@ -163,33 +208,47 @@ func Search(ctx context.Context, segs []segment.Segment, r feature.Region, eps f
 			}
 		}
 	}
-	return sortByTD(out), nil
+	return out, nil
 }
 
 // radixBits is the digit width of sortByTD: 2^11 counters fit in L1,
 // and three passes cover the ~2^26 s that a 540-day history spans.
 const radixBits = 11
 
-// sortByTD sorts ms by TD with a stable LSD radix sort over TD − min(TD)
-// and returns the sorted slice, which is ms or a scratch slice of the
-// same length. Search emits its end segments in ascending TB, so equal
-// TDs arrive in TB order and the stable sort leaves ms ordered by
-// (TD, TB).
-func sortByTD(ms []Match) []Match {
-	if len(ms) < 2 {
-		return ms
+// sortByTD returns ms sorted by t_D in a new slice of exactly len(ms),
+// by a stable LSD radix sort over t_D − min(t_D). The last pass writes
+// the result; the ones before alternate between b.tmp and ms itself.
+// Search emits its end segments in ascending t_B, so equal t_Ds arrive
+// in t_B order and the stable sort leaves the result ordered by
+// (t_D, t_B).
+func (b *buffers) sortByTD(ms []Match) []Match {
+	res := make([]Match, len(ms))
+	if len(ms) == 0 {
+		return res
 	}
-	lo, hi := ms[0].TD, ms[0].TD
+	lo, hi := ms[0].From.Start, ms[0].From.Start
 	for _, m := range ms[1:] {
-		lo, hi = min(lo, m.TD), max(hi, m.TD)
+		lo, hi = min(lo, m.From.Start), max(hi, m.From.Start)
 	}
-	span := uint64(hi) - uint64(lo)
-	if span == 0 {
-		return ms
+	passes := (bits.Len64(uint64(hi)-uint64(lo)) + radixBits - 1) / radixBits
+	if passes == 0 {
+		copy(res, ms)
+		return res
 	}
-	src, dst := ms, make([]Match, len(ms))
-	for shift := uint(0); shift < 64 && span>>shift != 0; shift += radixBits {
-		digit := func(m Match) uint64 { return (uint64(m.TD) - uint64(lo)) >> shift & (1<<radixBits - 1) }
+	if passes > 1 {
+		b.tmp = slices.Grow(b.tmp[:0], len(ms))[:len(ms)]
+	}
+	src := ms
+	for p := 0; p < passes; p++ {
+		dst := res
+		if p < passes-1 {
+			dst = b.tmp
+			if p%2 == 1 {
+				dst = ms
+			}
+		}
+		shift := uint(p * radixBits)
+		digit := func(m Match) uint64 { return (uint64(m.From.Start) - uint64(lo)) >> shift & (1<<radixBits - 1) }
 		var next [1 << radixBits]int
 		for _, m := range src {
 			next[digit(m)]++
@@ -204,9 +263,9 @@ func sortByTD(ms []Match) []Match {
 			dst[next[d]] = m
 			next[d]++
 		}
-		src, dst = dst, src
+		src = dst
 	}
-	return src
+	return res
 }
 
 // refine appends p's pair to out if its stored boundary of r's kind meets r.
@@ -221,7 +280,7 @@ func refine(out []Match, p feature.Parallelogram, r feature.Region, eps float64)
 			// allocates ~5× the final output and copies it ~4 times.
 			out = slices.Grow(out, len(out)+1)
 		}
-		out = append(out, Match{TD: p.TD, TC: p.TC, TB: p.TB, TA: p.TA})
+		out = append(out, Match{From: Interval{Start: p.TD, End: p.TC}, To: Interval{Start: p.TB, End: p.TA}})
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"segdiff"
@@ -201,6 +202,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) error {
 // answer of hundreds of kilobytes cost hundreds of write calls.
 const searchBufBytes = 64 << 10
 
+// searchWriters reuses search responses' write buffers across requests.
+var searchWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, searchBufBytes) }}
+
 // searchHandler builds the shared drops/jumps handler. Results stream
 // as NDJSON: one line per sensor, in sensor-name order, each line a
 // SensorMatches object as encoding/json writes it (appendSensorMatches)
@@ -222,7 +226,12 @@ func (s *Server) searchHandler(jump bool) func(http.ResponseWriter, *http.Reques
 			return err
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		bw := bufio.NewWriterSize(w, searchBufBytes)
+		bw := searchWriters.Get().(*bufio.Writer)
+		bw.Reset(w)
+		defer func() {
+			bw.Reset(nil) // hold no response past its handler
+			searchWriters.Put(bw)
+		}()
 		for i, sm := range results {
 			if err := appendSensorMatches(bw, sm); err != nil {
 				return err

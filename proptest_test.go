@@ -181,11 +181,7 @@ func TestPropertyFusedScanIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %v T=%d V=%.3f mode=%v: %v", configs[0].name, kind, T, V, modes[0], err)
 					}
-					ps := make([]crashtest.Period, len(ref))
-					for i, m := range ref {
-						ps[i] = crashtest.Period{TD: m.TD, TC: m.TC, TB: m.TB, TA: m.TA}
-					}
-					if err := crashtest.VerifyTheorem1(series, kind, T, V, ps, maxSlope, eps); err != nil {
+					if err := crashtest.VerifyTheorem1(series, kind, T, V, periods(ref), maxSlope, eps); err != nil {
 						t.Fatalf("%v T=%d V=%.3f: %v", kind, T, V, err)
 					}
 					for ci, st := range stores {

@@ -68,6 +68,7 @@ import (
 
 	"segdiff/internal/core"
 	"segdiff/internal/feature"
+	"segdiff/internal/scan"
 	"segdiff/internal/smooth"
 	"segdiff/internal/storage/sqlmini"
 	"segdiff/internal/timeseries"
@@ -80,23 +81,17 @@ type Point struct {
 	Value float64 `json:"v"`
 }
 
-// Interval is a closed time interval [Start, End].
-type Interval struct {
-	Start int64 `json:"start"`
-	End   int64 `json:"end"`
-}
-
-// Contains reports whether t lies in the interval.
-func (iv Interval) Contains(t int64) bool { return iv.Start <= t && t <= iv.End }
+// Interval is a closed time interval [Start, End], with JSON fields
+// "start" and "end". Contains(t) reports whether t lies in it.
+type Interval = scan.Interval
 
 // Match is one search result: the event starts somewhere in From and ends
-// somewhere in To (the paper's tuple ((t_D, t_C), (t_B, t_A))). From and
-// To are endpoints of data segments of the underlying piecewise linear
-// approximation; a matched period typically contains one or more events.
-type Match struct {
-	From Interval `json:"from"`
-	To   Interval `json:"to"`
-}
+// somewhere in To (the paper's tuple ((t_D, t_C), (t_B, t_A))), with JSON
+// fields "from" and "to". From and To are endpoints of data segments of
+// the underlying piecewise linear approximation; a matched period
+// typically contains one or more events. The search builds it once and
+// returns it as is: the type is the scan's own.
+type Match = scan.Match
 
 // Options configures an Index.
 type Options struct {
@@ -231,18 +226,7 @@ func (ix *Index) search(ctx context.Context, kind feature.Kind, span time.Durati
 	if err != nil {
 		return nil, err
 	}
-	ms, err := ix.st.SearchContext(ctx, kind, T, v, sqlmini.PlanAuto)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{
-			From: Interval{Start: m.TD, End: m.TC},
-			To:   Interval{Start: m.TB, End: m.TA},
-		}
-	}
-	return out, nil
+	return ix.st.SearchContext(ctx, kind, T, v, sqlmini.PlanAuto)
 }
 
 func spanSeconds(span time.Duration) (int64, error) {
