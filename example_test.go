@@ -46,13 +46,14 @@ func ExampleIndex() {
 		fmt.Printf("drop starts in [%d,%d], ends in [%d,%d]\n",
 			m.From.Start, m.From.End, m.To.Start, m.To.End)
 	}
-	// Every pair of periods bracketing a ≥4-unit fall is reported: the
-	// drop can start on the flat prefix (its end is within T of the ramp)
-	// or on the ramp itself, and end on the ramp or the flat suffix.
-	//
+	// Every pair of periods bracketing a ≥4-unit fall is reported, in
+	// order of where the drop ends, then of where it starts: the drop can
+	// start on the flat prefix (its end is within T of the ramp) or on the
+	// ramp itself, and end on the ramp or the flat suffix.
+
 	// Output:
 	// drop starts in [0,3000], ends in [3000,4200]
-	// drop starts in [0,3000], ends in [4200,11700]
 	// drop starts in [3000,4200], ends in [3000,4200]
+	// drop starts in [0,3000], ends in [4200,11700]
 	// drop starts in [3000,4200], ends in [4200,11700]
 }

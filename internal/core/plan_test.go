@@ -209,10 +209,10 @@ func standaloneSearch(t *testing.T, s *Store, kind feature.Kind, T int64, V floa
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].From.Start != out[j].From.Start {
-			return out[i].From.Start < out[j].From.Start
+		if out[i].To.Start != out[j].To.Start {
+			return out[i].To.Start < out[j].To.Start
 		}
-		return out[i].To.Start < out[j].To.Start
+		return out[i].From.Start < out[j].From.Start
 	})
 	return out
 }

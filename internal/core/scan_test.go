@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"segdiff/internal/feature"
+	"segdiff/internal/scan"
 	"segdiff/internal/storage/pager"
 	"segdiff/internal/storage/sqlmini"
 	"segdiff/internal/timeseries"
@@ -124,6 +126,75 @@ func TestPruneKeepsScanExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireScanMatchesReference(t, st, "appended after the reopen")
+}
+
+// TestMirrorExtendEqualsMount checks that the skip bounds a store extends
+// commit by commit equal the bounds derived at once from the same
+// segments: over batches of random sizes (a few points to several
+// windows' worth), a Prune in the middle, a reopen, and more batches.
+func TestMirrorExtendEqualsMount(t *testing.T) {
+	const w = 3000
+	pts := randomSeries(83, 1500).Points()
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Epsilon: 0.3, Window: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { st.Close() }()
+	check := func(step string) {
+		t.Helper()
+		m := st.snap.Load().mirror
+		if len(m.Segments()) == 0 {
+			t.Fatalf("%s: no segments", step)
+		}
+		if at := scan.NewMirror(m.Segments(), w); !reflect.DeepEqual(m, at) {
+			t.Fatalf("%s: the bounds of %d segments differ from those derived at once", step, len(m.Segments()))
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	ingestBatches := func(ps []timeseries.Point, step string) {
+		t.Helper()
+		for len(ps) > 0 {
+			n := min(len(ps), 1+rng.Intn([]int{3, 30, 300}[rng.Intn(3)]))
+			for _, p := range ps[:n] {
+				if err := st.Append(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			ps = ps[n:]
+			if len(st.snap.Load().mirror.Segments()) > 0 {
+				check(step)
+			}
+		}
+	}
+	ingestBatches(pts[:600], "ingest")
+	segs := st.snap.Load().mirror.Segments()
+	if _, err := st.Prune(segs[len(segs)/2].Ts + 1); err != nil {
+		t.Fatal(err)
+	}
+	check("prune")
+	ingestBatches(pts[600:1000], "after the prune")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	check("reopen")
+	// A reopen behaves like a sensor gap: resume after the committed end.
+	segs = st.snap.Load().mirror.Segments()
+	rest := pts[1000:]
+	for len(rest) > 0 && rest[0].T <= segs[len(segs)-1].Te {
+		rest = rest[1:]
+	}
+	ingestBatches(rest, "after the reopen")
+	if err := st.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	check("finish")
 }
 
 var pruneQueries = []struct {

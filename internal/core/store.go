@@ -97,8 +97,9 @@ func (o Options) normalize() (Options, error) {
 type Match = scan.Match
 
 // Store is a single-sensor SegDiff store. It keeps an in-memory mirror of
-// its committed segments: derived from the segs table at open, extended
-// after each successful commit, and published as one immutable snapshot.
+// its committed segments and their skip bounds (scan.Mirror): derived
+// from the segs table at open, extended after each successful commit, and
+// published as one immutable snapshot.
 // SearchDrops, SearchJumps and SearchContext under PlanAuto scan that
 // snapshot (internal/scan), so they take no engine lock and never wait on
 // ingest. The feature-index union is the reference path, run by SearchMode
@@ -135,21 +136,23 @@ type Store struct {
 	featRows map[feature.Kind]map[int][][]sqlmini.Value
 }
 
-// committed is one published snapshot of the searchable state: the rows
-// of the segs table in time order, and the retention cutoff. A pair is
-// searchable iff its end segment ends after prunedBefore; the segments
-// at or before it that remain serve as the earlier segment (CD) of later
-// pairs only. Snapshots are immutable once stored: a commit publishes a
-// longer slice (appending past every published length), Prune a new one.
+// committed is one published snapshot of the searchable state: the
+// mirror of the segs table (its rows in time order with their skip
+// bounds), and the retention cutoff. A pair is searchable iff its end
+// segment ends after prunedBefore; the segments at or before it that
+// remain serve as the earlier segment (CD) of later pairs only. Snapshots
+// are immutable once stored: a commit publishes the mirror extended by its
+// segments (appending past every published length), Prune a rebuilt one.
 type committed struct {
-	segs         []segment.Segment
+	mirror       *scan.Mirror
 	prunedBefore int64
 }
 
 // searchable returns the segments that end after the retention cutoff.
 func (c *committed) searchable() []segment.Segment {
-	k := sort.Search(len(c.segs), func(i int) bool { return c.segs[i].Te > c.prunedBefore })
-	return c.segs[k:]
+	segs := c.mirror.Segments()
+	k := sort.Search(len(segs), func(i int) bool { return segs[i].Te > c.prunedBefore })
+	return segs[k:]
 }
 
 // Open opens (creating or resuming) an on-disk store.
@@ -205,9 +208,10 @@ func initStore(db *sqlmini.DB, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// mount derives the committed snapshot from the segs table and meta, and
-// rebuilds the ingest pipeline from it. Open runs it, and so does a
-// failed commit, whose rows the engine may still hold.
+// mount derives the committed snapshot, skip bounds included, from the
+// segs table and meta, and rebuilds the ingest pipeline from it. Open
+// runs it, and so does a failed commit, whose rows the engine may still
+// hold.
 func (s *Store) mount() error {
 	meta, err := s.readMeta()
 	if err != nil {
@@ -221,10 +225,11 @@ func (s *Store) mount() error {
 	if err != nil {
 		return err
 	}
-	c.segs = make([]segment.Segment, 0, rows.Len())
+	segs := make([]segment.Segment, 0, rows.Len())
 	for _, row := range rows.Data {
-		c.segs = append(c.segs, segment.Segment{Ts: row[0].I, Vs: row[1].R, Te: row[2].I, Ve: row[3].R})
+		segs = append(segs, segment.Segment{Ts: row[0].I, Vs: row[1].R, Te: row[2].I, Ve: row[3].R})
 	}
+	c.mirror = scan.NewMirror(segs, s.opts.Window)
 	s.snap.Store(c)
 	return s.initPipeline()
 }
@@ -374,7 +379,7 @@ func (s *Store) initPipeline() error {
 		return err
 	}
 	s.ext = ext
-	if segs := s.snap.Load().segs; len(segs) > 0 {
+	if segs := s.snap.Load().mirror.Segments(); len(segs) > 0 {
 		from := segs[len(segs)-1].Te - s.opts.Window
 		k := sort.Search(len(segs), func(i int) bool { return segs[i].Te > from })
 		if err := s.ext.Preload(segs[k:]); err != nil {
@@ -510,7 +515,7 @@ func (s *Store) Sync() error {
 		return errors.Join(err, s.mount())
 	}
 	old := s.snap.Load()
-	s.snap.Store(&committed{segs: append(old.segs, s.pending...), prunedBefore: old.prunedBefore})
+	s.snap.Store(&committed{mirror: old.mirror.Extend(s.pending), prunedBefore: old.prunedBefore})
 	s.clearBuffers()
 	return nil
 }
@@ -591,7 +596,7 @@ func (s *Store) search(ctx context.Context, kind feature.Kind, T int64, V float6
 	}
 	if mode == sqlmini.PlanAuto {
 		c := s.snap.Load()
-		return scan.Search(ctx, c.segs, r, s.opts.Epsilon, s.opts.Window, c.prunedBefore)
+		return c.mirror.Search(ctx, r, s.opts.Epsilon, c.prunedBefore)
 	}
 	var args []sqlmini.Value
 	for _, q := range searchQueries(kind) {
@@ -606,10 +611,10 @@ func (s *Store) search(ctx context.Context, kind feature.Kind, T int64, V float6
 		out = append(out, rowMatch(row))
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].From.Start != out[j].From.Start {
-			return out[i].From.Start < out[j].From.Start
+		if out[i].To.Start != out[j].To.Start {
+			return out[i].To.Start < out[j].To.Start
 		}
-		return out[i].To.Start < out[j].To.Start
+		return out[i].From.Start < out[j].From.Start
 	})
 	return out, nil
 }
@@ -822,13 +827,14 @@ func (s *Store) Prune(before int64) (int, error) {
 		}
 	}
 	old := s.snap.Load()
+	segs := old.mirror.Segments()
 	cut, keepFrom := old.prunedBefore, int64(math.MinInt64)
-	if n := len(old.segs); n > 0 {
-		last := old.segs[n-1].Te
+	if n := len(segs); n > 0 {
+		last := segs[n-1].Te
 		cut = max(cut, min(before, last))
 		t0 := last
-		if k := sort.Search(n, func(i int) bool { return old.segs[i].Te > cut }); k < n {
-			t0 = old.segs[k].Ts
+		if k := sort.Search(n, func(i int) bool { return segs[i].Te > cut }); k < n {
+			t0 = segs[k].Ts
 		}
 		keepFrom = t0 - s.opts.Window
 	}
@@ -863,8 +869,8 @@ func (s *Store) Prune(before int64) (int, error) {
 	if err := s.db.CommitBatch(); err != nil {
 		return removed, errors.Join(err, s.mount())
 	}
-	k := sort.Search(len(old.segs), func(i int) bool { return old.segs[i].Te > keepFrom })
-	s.snap.Store(&committed{segs: append([]segment.Segment(nil), old.segs[k:]...), prunedBefore: cut})
+	k := sort.Search(len(segs), func(i int) bool { return segs[i].Te > keepFrom })
+	s.snap.Store(&committed{mirror: scan.NewMirror(segs[k:], s.opts.Window), prunedBefore: cut})
 	return removed, nil
 }
 

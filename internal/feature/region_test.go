@@ -134,9 +134,15 @@ func TestCrossesEdgeDegenerate(t *testing.T) {
 }
 
 // The central Table-2 property: for random segment pairs, detection via
-// the extracted (reduced, ε-shifted) boundary corners is exactly
-// equivalent to exact intersection between the query region and the
-// ε-shifted full parallelogram.
+// the extracted (reduced, ε-shifted) boundary corners agrees with exact
+// intersection between the query region and the ε-shifted full
+// parallelogram. The agreement is exact in geometry, not in floating
+// point: where the region's edge meets a clipped boundary edge at V
+// itself, the line query and the polygon clip can round to opposite
+// sides (internal/scan's FuzzSearch seed rounding-tie-at-T is one such
+// tie). These random pairs never land on a tie, so this test requires
+// equality, while FuzzSearch judges with a margin of 10⁻⁹ of the data's
+// scale.
 func TestTable2BoundaryEquivalence(t *testing.T) {
 	checkOne := func(rng *rand.Rand, eps float64, self bool) bool {
 		var p Parallelogram

@@ -14,6 +14,10 @@ import (
 // oracle's every-pair loop stays fast.
 const maxFuzzSegments = 300
 
+// fuzzBatch is how many segments FuzzSearch adds to its mirror per
+// Extend, as commits do, so that the judge covers the extension too.
+const fuzzBatch = 5
+
 // fuzzSegments decodes data, three bytes per segment, into a valid
 // approximation starting at time 0: byte 0 is a gap before the segment
 // (none below 0x80), byte 1 its duration − 1 and byte 2 its value change
@@ -37,7 +41,7 @@ func fuzzSegments(data []byte) []segment.Segment {
 }
 
 // oracle answers a search the slow way, sharing none of Search's pairing,
-// skip bound, truncation or sort: it takes every pair in the window — the
+// skip bound, truncation or order: it takes every pair in the window — the
 // self pair of each end segment AB and every earlier CD that ends after
 // t_B − w, cut at t_B − w when it starts earlier — and keeps those whose
 // AB ends after the cutoff and whose ε-shifted parallelogram meets r by
@@ -75,15 +79,18 @@ func oracle(t *testing.T, segs []segment.Segment, r feature.Region, eps float64,
 }
 
 // FuzzSearch judges Search against oracle over fuzzed approximations,
-// both kinds, any T ≤ w, V, ε and cutoff. Search and the polygon clipping
-// round differently, so a pair whose Δv comes within a rounding error of V
-// may go either way: Search must return every pair the oracle finds for V
-// tightened by a margin far below the data's 1/8 steps, only pairs it finds
-// for V loosened by that margin, and each once, in strictly ascending
-// (t_D, t_B) order. testdata/fuzz/FuzzSearch holds the checked-in corpus:
-// long CDs cut by a short window, a pair whose match sits within ε of V,
-// a cutoff inside the series, and answers wide enough for a multi-digit
-// radix sort with tied t_Ds.
+// both kinds, any T ≤ w, V, ε and cutoff, on a mirror built by Extend a
+// few segments at a time. Search and the polygon clipping round
+// differently, so a pair whose Δv comes within a rounding error of V may
+// go either way: Search must return every pair the oracle finds for V
+// tightened by a margin far below the data's 1/8 steps, only pairs it
+// finds for V loosened by that margin, and each once, in strictly
+// ascending (t_B, t_D) order. testdata/fuzz/FuzzSearch holds the
+// checked-in corpus: long CDs cut by a short window, a pair whose match
+// sits within ε of V, a cutoff inside the series, broad answers with
+// many matches per end segment, a match whose only high CD ends exactly T
+// before AB at T = w and at T = w/4 + 1 (the bound of span w/2 must be
+// read, not w/4's), and a search at T < w/64, under the narrowest span.
 func FuzzSearch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, jump bool, T int64, V, eps float64, w, after int64) {
 		segs := fuzzSegments(data)
@@ -114,15 +121,19 @@ func FuzzSearch(f *testing.F) {
 		if errSure != nil || errMaybe != nil {
 			return // V within the margin of 0
 		}
-		got, err := Search(context.Background(), segs, r, eps, w, after)
+		m := NewMirror(nil, w)
+		for k := 0; k < len(segs); k += fuzzBatch {
+			m = m.Extend(segs[k:min(k+fuzzBatch, len(segs))])
+		}
+		got, err := m.Search(context.Background(), r, eps, after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		setting := fmt.Sprintf("%v T=%d V=%v ε=%v w=%d after=%d over %d segments", kind, T, V, eps, w, after, len(segs))
 		for i := 1; i < len(got); i++ {
 			a, b := got[i-1], got[i]
-			if compareTDTB(a, b) >= 0 {
-				t.Fatalf("%s: match %d of %d, %+v, does not follow %+v in (t_D, t_B) order", setting, i, len(got), b, a)
+			if compareTBTD(a, b) >= 0 {
+				t.Fatalf("%s: match %d of %d, %+v, does not follow %+v in (t_B, t_D) order", setting, i, len(got), b, a)
 			}
 		}
 		found := make(map[Match]bool, len(got))

@@ -14,28 +14,31 @@
 // tests them with feature.Region.MatchesCorners (the predicate behind
 // MatchesBoundary).
 //
-// The result is the only memory a search hands out: an exact-size slice
-// the caller owns. The pass appends into a buffer and the radix sort
-// ping-pongs through a second one, both reused across searches from a
-// pool inside this package that no caller ever sees.
-//
-// Most end segments cannot match at all. Every corner of a pair ending in
+// A Mirror holds the approximation with, for each end segment AB and each
+// span w>>k (k < levels), a skip bound: every corner of a pair ending in
 // AB has Δv = v_AB − v_CD − ε (drops) for one endpoint value of each
-// segment, so min(v_B, v_A) − max(v over the candidate CDs) − ε bounds
-// every corner from below; a monotone deque keeps that max over the CDs
-// close enough in time (t_C ≥ t_B − T) to have a corner with Δt ≤ T, and
-// an end segment whose bound exceeds V is skipped without refining a
-// pair. A line query interpolates between corners and also needs one
-// corner inside the region, so the skip cannot drop a match. Jumps mirror
-// it (max for min, +ε, skip below V).
+// segment, so min(v_B, v_A) − max(v_B, v over the CDs ending within the
+// span) − ε bounds every corner whose Δt can be at most that span from
+// below. A search reads the bound of the smallest span at least T and
+// refines only the end segments it does not rule out; a line query
+// interpolates between corners and also needs one corner inside the
+// region, so the skip cannot drop a match. Jumps mirror it over −v. The
+// bounds cost 112 B per segment in memory and nothing on disk; they are
+// append-only, so a commit derives only its new segments' bounds.
+//
+// The pass emits each surviving end segment's CDs oldest first and its
+// self pair last, so the answer comes out in strictly ascending
+// (t_B, t_D) with no sort: new data only appends to an answer's tail. The
+// result is the only memory a search hands out: an exact-size slice the
+// caller owns, copied from an output buffer pooled inside this package.
 package scan
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
+	"sort"
 	"sync"
 
 	"segdiff/internal/feature"
@@ -60,21 +63,117 @@ type Match struct {
 	To   Interval `json:"to"`
 }
 
-// entry is one candidate CD of the skip bound's deque.
-type entry struct {
+// levels is the number of spans a Mirror keeps skip bounds for: w,
+// w/2, …, w/64.
+const levels = 7
+
+// Mirror is an immutable in-memory copy of a sensor's approximation, the
+// segments in time order as persisted, together with each end segment's
+// skip bounds. Extend derives a longer mirror after a commit; a mirror is
+// never modified once returned, so searches read it without a lock.
+type Mirror struct {
+	segs []segment.Segment
+	w    int64
+	// drop[k][j] is the skip bound of end segment segs[j] at span w>>k:
+	// min(v_B, v_A) − max(v_B, the start bound of every CD ending at or
+	// after t_B − w>>k), where a CD's start bound is max(v_D, v_C)
+	// widened by truncSlack. It bounds from below the unshifted Δv of
+	// every corner of every pair ending in segs[j] whose Δt can be at
+	// most w>>k. jump[k][j] is the same bound over the negated values:
+	// jumps are drops of −v.
+	drop, jump [levels][]float64
+}
+
+// NewMirror returns the mirror of segs (a valid approximation in time
+// order) under window w, deriving every skip bound. It copies segs.
+func NewMirror(segs []segment.Segment, w int64) *Mirror {
+	return (&Mirror{w: w}).Extend(segs)
+}
+
+// Extend returns the mirror of m's segments followed by more, deriving
+// the bounds of the new end segments only: their CDs lie within w, so
+// the work is the new segments' and the w before them. m stays valid.
+// The new mirror appends to m's arrays past m's lengths, so extending a
+// mirror twice would overwrite the first extension: extend only the
+// newest mirror of a chain.
+func (m *Mirror) Extend(more []segment.Segment) *Mirror {
+	x := &Mirror{segs: append(m.segs, more...), w: m.w}
+	if len(more) == 0 {
+		x.drop, x.jump = m.drop, m.jump
+		return x
+	}
+	n := len(m.segs)
+	// The CDs of the new end segments end at or after more[0].Ts − w.
+	lo := sort.Search(n, func(i int) bool { return m.segs[i].Te >= more[0].Ts-m.w })
+	x.drop = extendBounds(m.drop, x.segs, lo, n, m.w, 1)
+	x.jump = extendBounds(m.jump, x.segs, lo, n, m.w, -1)
+	return x
+}
+
+// Segments returns the mirrored approximation. The caller must not modify
+// it.
+func (m *Mirror) Segments() []segment.Segment { return m.segs }
+
+// cdBound is one CD's end time and start bound.
+type cdBound struct {
 	te int64
 	v  float64
 }
 
-// buffers are one search's working memory: the pass's unsorted output,
-// the radix sort's scratch and the skip bound's deque. They are pooled
-// across searches and never escape Search.
-type buffers struct {
-	out, tmp []Match
-	dq       []entry
+// extendBounds appends to bs, at every level, the drop-oriented skip bound
+// of each end segment segs[j], j ≥ n, over the values times sign (±1, so
+// exact). No end segment from n on can pair with a segment before lo.
+//
+// One monotone deque serves every level. It holds the CDs ending within w
+// of the current end segment, oldest first, with strictly decreasing
+// start bounds: a CD followed by one of no lower bound can never again
+// be the maximum. So the maximum over the CDs ending at or after any time
+// is the bound of the first entry ending at or after it, and the levels
+// find theirs by walking the deque forward from the widest span.
+func extendBounds(bs [levels][]float64, segs []segment.Segment, lo, n int, w int64, sign float64) [levels][]float64 {
+	var dq []cdBound
+	for j := lo; j < len(segs); j++ {
+		g := segs[j]
+		if j >= n {
+			for len(dq) > 0 && dq[0].te < g.Ts-w {
+				dq = dq[1:]
+			}
+			vb := sign * g.Vs // the self pair's CD is the point B
+			low := min(vb, sign*g.Ve)
+			i := 0
+			for k := range bs {
+				for i < len(dq) && dq[i].te < g.Ts-w>>k {
+					i++
+				}
+				start := vb
+				if i < len(dq) {
+					start = max(start, dq[i].v)
+				}
+				bs[k] = append(bs[k], low-start)
+			}
+		}
+		e := cdBound{g.Te, max(sign*g.Vs, sign*g.Ve) + truncSlack*(math.Abs(g.Vs)+math.Abs(g.Ve))}
+		for len(dq) > 0 && dq[len(dq)-1].v <= e.v {
+			dq = dq[:len(dq)-1]
+		}
+		dq = append(dq, e)
+	}
+	return bs
 }
 
-var bufPool = sync.Pool{New: func() any { return new(buffers) }}
+// level returns the smallest kept span at least T ≤ w: the largest
+// k < levels with w>>k ≥ T.
+func level(T, w int64) int {
+	k := 0
+	for k+1 < levels && w>>(k+1) >= T {
+		k++
+	}
+	return k
+}
+
+// outPool reuses the pass's output buffer across searches; it never
+// escapes Search.
+var outPool = sync.Pool{New: func() any { return new([]Match) }}
 
 // checkEvery is how many end segments the pass visits between two
 // context checks.
@@ -87,45 +186,38 @@ const checkEvery = 1024
 const truncSlack = 0x1p-48
 
 // Search returns every segment pair whose stored boundary of r's kind
-// meets r, over segs (the approximation in time order, as persisted),
-// with segmentation tolerance eps and window w. Only pairs whose end
-// segment AB ends after `after` are reported: earlier segments serve as
-// CDs only (retention keeps them for that). The result is sorted by
-// (t_D, t_B), never nil, exactly as long as it needs to be and owned by
-// the caller. ctx is checked before the pass and every checkEvery end
-// segments; its error is wrapped.
-func Search(ctx context.Context, segs []segment.Segment, r feature.Region, eps float64, w int64, after int64) ([]Match, error) {
+// meets r (r.T at most the mirror's window), with segmentation tolerance
+// eps. Only pairs whose end segment AB ends after `after` are reported:
+// earlier segments serve as CDs only (retention keeps them for that). The
+// result is in strictly ascending (t_B, t_D), never nil, exactly as long
+// as it needs to be and owned by the caller. ctx is checked before the
+// pass and every checkEvery end segments; its error is wrapped.
+func (m *Mirror) Search(ctx context.Context, r feature.Region, eps float64, after int64) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
 	}
-	b := bufPool.Get().(*buffers)
-	defer bufPool.Put(b)
-	out, err := b.pass(ctx, segs, r, eps, w, after)
+	buf := outPool.Get().(*[]Match)
+	defer outPool.Put(buf)
+	out, err := m.pass(ctx, (*buf)[:0], r, eps, after)
 	if err != nil {
 		return nil, err
 	}
-	return b.sortByTD(out), nil
+	*buf = out // keep what grew for the next search
+	res := make([]Match, len(out))
+	copy(res, out)
+	return res, nil
 }
 
-// pass appends to b.out every pair of segs that meets r, in ascending
-// t_B, and returns b.out.
-func (b *buffers) pass(ctx context.Context, segs []segment.Segment, r feature.Region, eps float64, w int64, after int64) ([]Match, error) {
+// pass appends to out every pair that meets r, in ascending (t_B, t_D),
+// and returns out.
+func (m *Mirror) pass(ctx context.Context, out []Match, r feature.Region, eps float64, after int64) ([]Match, error) {
 	drop := r.Kind == feature.Drop
-	// bound is the most extreme start value a CD of g can contribute:
-	// its max for drops, its min for jumps.
-	bound := func(g segment.Segment) float64 {
-		slack := truncSlack * (math.Abs(g.Vs) + math.Abs(g.Ve))
-		if drop {
-			return max(g.Vs, g.Ve) + slack
-		}
-		return min(g.Vs, g.Ve) - slack
-	}
-	// further reports whether a is at least as extreme as b.
-	further := func(a, b float64) bool {
-		if drop {
-			return a >= b
-		}
-		return a <= b
+	// An end segment whose bound at the smallest span covering T, less ε,
+	// exceeds V (drops; jumps in the negated orientation) has no corner
+	// in the region, and a line query also needs one, so it is skipped.
+	bound, v := m.drop[level(r.T, m.w)], r.V
+	if !drop {
+		bound, v = m.jump[level(r.T, m.w)], -r.V
 	}
 	// skip reports whether no corner with end values of ab and start
 	// value at most (drops) or at least (jumps) start can meet r.
@@ -136,58 +228,28 @@ func (b *buffers) pass(ctx context.Context, segs []segment.Segment, r feature.Re
 		return max(ab.Vs, ab.Ve)-start+eps < r.V
 	}
 
-	dq := b.dq[:0] // candidate CDs, oldest first, bounds strictly decreasing in extremity
-	head := 0
-	out := b.out[:0]
-	defer func() { b.out, b.dq = out, dq }() // keep what grew for the next search
-	for j, ab := range segs {
-		if j > 0 {
-			e := entry{segs[j-1].Te, bound(segs[j-1])}
-			for len(dq) > head && further(e.v, dq[len(dq)-1].v) {
-				dq = dq[:len(dq)-1]
-			}
-			dq = append(dq, e)
-		}
-		// A CD ending before t_B − T has every corner at Δt > T.
-		lim := ab.Ts - r.T
-		for head < len(dq) && dq[head].te < lim {
-			head++
-		}
-		if head > 64 && 2*head > len(dq) {
-			dq = dq[:copy(dq, dq[head:])]
-			head = 0
-		}
+	segs := m.segs
+	first := sort.Search(len(segs), func(i int) bool { return segs[i].Te > after })
+	for j := first; j < len(segs); j++ {
 		if j%checkEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("scan: %w", err)
 			}
 		}
-		if ab.Te <= after {
+		if bound[j]-eps > v {
 			continue
 		}
-		start := ab.Vs // the self pair's CD is the point B
-		if head < len(dq) && further(dq[head].v, start) {
-			start = dq[head].v
+		ab := segs[j]
+		// The CDs end after t_B − w (pairing) and at or after t_B − T
+		// (a CD ending earlier has every corner at Δt > T); emit them
+		// oldest first, so t_D ascends.
+		lim, winStart := ab.Ts-r.T, ab.Ts-m.w
+		i := j
+		for i > 0 && segs[i-1].Te >= lim && segs[i-1].Te > winStart {
+			i--
 		}
-		if skip(ab, start) {
-			continue
-		}
-
-		if !skip(ab, ab.Vs) {
-			p, err := feature.SelfPair(ab)
-			if err != nil {
-				return nil, err
-			}
-			if out, err = refine(out, p, r, eps); err != nil {
-				return nil, err
-			}
-		}
-		winStart := ab.Ts - w
-		for i := j - 1; i >= 0; i-- {
+		for ; i < j; i++ {
 			cd := segs[i]
-			if cd.Te < lim || cd.Te <= winStart {
-				break
-			}
 			if cd.Ts < winStart {
 				// Truncate CD at the window start, as extraction does.
 				cd = segment.Segment{Ts: winStart, Vs: cd.Value(winStart), Te: cd.Te, Ve: cd.Ve}
@@ -207,65 +269,18 @@ func (b *buffers) pass(ctx context.Context, segs []segment.Segment, r feature.Re
 				return nil, err
 			}
 		}
-	}
-	return out, nil
-}
-
-// radixBits is the digit width of sortByTD: 2^11 counters fit in L1,
-// and three passes cover the ~2^26 s that a 540-day history spans.
-const radixBits = 11
-
-// sortByTD returns ms sorted by t_D in a new slice of exactly len(ms),
-// by a stable LSD radix sort over t_D − min(t_D). The last pass writes
-// the result; the ones before alternate between b.tmp and ms itself.
-// Search emits its end segments in ascending t_B, so equal t_Ds arrive
-// in t_B order and the stable sort leaves the result ordered by
-// (t_D, t_B).
-func (b *buffers) sortByTD(ms []Match) []Match {
-	res := make([]Match, len(ms))
-	if len(ms) == 0 {
-		return res
-	}
-	lo, hi := ms[0].From.Start, ms[0].From.Start
-	for _, m := range ms[1:] {
-		lo, hi = min(lo, m.From.Start), max(hi, m.From.Start)
-	}
-	passes := (bits.Len64(uint64(hi)-uint64(lo)) + radixBits - 1) / radixBits
-	if passes == 0 {
-		copy(res, ms)
-		return res
-	}
-	if passes > 1 {
-		b.tmp = slices.Grow(b.tmp[:0], len(ms))[:len(ms)]
-	}
-	src := ms
-	for p := 0; p < passes; p++ {
-		dst := res
-		if p < passes-1 {
-			dst = b.tmp
-			if p%2 == 1 {
-				dst = ms
+		// The self pair starts at t_B, after every CD.
+		if !skip(ab, ab.Vs) {
+			p, err := feature.SelfPair(ab)
+			if err != nil {
+				return nil, err
+			}
+			if out, err = refine(out, p, r, eps); err != nil {
+				return nil, err
 			}
 		}
-		shift := uint(p * radixBits)
-		digit := func(m Match) uint64 { return (uint64(m.From.Start) - uint64(lo)) >> shift & (1<<radixBits - 1) }
-		var next [1 << radixBits]int
-		for _, m := range src {
-			next[digit(m)]++
-		}
-		sum := 0
-		for i, c := range next {
-			next[i] = sum
-			sum += c
-		}
-		for _, m := range src {
-			d := digit(m)
-			dst[next[d]] = m
-			next[d]++
-		}
-		src = dst
 	}
-	return res
+	return out, nil
 }
 
 // refine appends p's pair to out if its stored boundary of r's kind meets r.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -71,21 +72,28 @@ func matching(bs []feature.Boundary, r feature.Region, after int64) []Match {
 			out = append(out, Match{From: Interval{Start: b.TD, End: b.TC}, To: Interval{Start: b.TB, End: b.TA}})
 		}
 	}
-	slices.SortFunc(out, compareTDTB)
+	slices.SortFunc(out, compareTBTD)
 	return out
 }
 
-// compareTDTB orders matches by (t_D, t_B), the order Search returns.
-func compareTDTB(a, b Match) int {
-	if c := cmp.Compare(a.From.Start, b.From.Start); c != 0 {
+// compareTBTD orders matches by (t_B, t_D), the order Search returns.
+func compareTBTD(a, b Match) int {
+	if c := cmp.Compare(a.To.Start, b.To.Start); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.To.Start, b.To.Start)
+	return cmp.Compare(a.From.Start, b.From.Start)
+}
+
+// search runs one search over a mirror derived from segs at once.
+func search(segs []segment.Segment, r feature.Region, eps float64, w, after int64) ([]Match, error) {
+	return NewMirror(segs, w).Search(context.Background(), r, eps, after)
 }
 
 // TestSearchEqualsStoredBoundaries checks Search against the boundaries
 // the extractor stores, over random approximations, both kinds, a grid of
-// (T, V) up to T = w, and a retention cutoff.
+// (T, V) up to T = w, and a retention cutoff. The spans include T below
+// w/64 (the narrowest bound), T = w/4 + 1 (the first span above w/4 is
+// w/2) and T = w.
 func TestSearchEqualsStoredBoundaries(t *testing.T) {
 	const eps, w = 0.2, 3600
 	truncated, found := 0, 0
@@ -98,7 +106,7 @@ func TestSearchEqualsStoredBoundaries(t *testing.T) {
 			}
 		}
 		for _, kind := range []feature.Kind{feature.Drop, feature.Jump} {
-			for _, T := range []int64{60, 900, w} {
+			for _, T := range []int64{30, 60, 900, w/4 + 1, w} {
 				for _, mag := range []float64{0.1, 1, 3, 8} {
 					V := mag
 					if kind == feature.Drop {
@@ -109,7 +117,7 @@ func TestSearchEqualsStoredBoundaries(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, after := range []int64{math.MinInt64, segs[len(segs)/2].Ts + 1} {
-						got, err := Search(context.Background(), segs, r, eps, w, after)
+						got, err := search(segs, r, eps, w, after)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -148,7 +156,7 @@ func TestSearchTruncatesAtWindowStart(t *testing.T) {
 	}
 	// CD's own drop is not reported as an end segment.
 	const after = 1000
-	got, err := Search(context.Background(), segs, r, eps, w, after)
+	got, err := search(segs, r, eps, w, after)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +182,7 @@ func TestSearchSkipBoundKeepsEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Search(context.Background(), segs, r, eps, w, math.MinInt64)
+	got, err := search(segs, r, eps, w, math.MinInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,67 +191,186 @@ func TestSearchSkipBoundKeepsEpsilon(t *testing.T) {
 	}
 }
 
+// TestSearchSkipBoundKeepsTruncSlack pins truncSlack: CD spans 2^57 s, so
+// its value interpolated at the window start t_B − w rounds above
+// max(v_D, v_C), and V is the truncated pair's lowest corner within T. A
+// bound without the slack would skip the end segment and lose the pair.
+func TestSearchSkipBoundKeepsTruncSlack(t *testing.T) {
+	const eps, w = 0.2, 22
+	segs := []segment.Segment{
+		{Ts: 0, Vs: -93.8, Te: 144115188075856204, Ve: 26.6},
+		{Ts: 144115188075856204, Vs: -22.2, Te: 144115188075856247, Ve: 88},
+	}
+	cd, ab := segs[0], segs[1]
+	if v := cd.Value(ab.Ts - w); v <= max(cd.Vs, cd.Ve) {
+		t.Fatalf("the truncated CD starts at %v, not above max(v_D, v_C) = %v", v, max(cd.Vs, cd.Ve))
+	}
+	stored := extracted(t, segs, eps, w)
+	V := 0.0
+	for _, b := range stored {
+		if b.Kind == feature.Drop && b.TD == ab.Ts-w {
+			for _, c := range b.Corners {
+				if c.Dt <= w {
+					V = min(V, c.Dv)
+				}
+			}
+		}
+	}
+	if unwidened := min(ab.Vs, ab.Ve) - max(ab.Vs, cd.Vs, cd.Ve) - eps; !(unwidened > V) {
+		t.Fatalf("vacuous: the bound without slack, %v, does not exceed V = %v", unwidened, V)
+	}
+	r, err := feature.NewRegion(feature.Drop, w, V)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := search(segs, r, eps, w, math.MinInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := matching(stored, r, math.MinInt64); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan %v, stored boundaries %v", got, want)
+	}
+}
+
 func TestSearchContext(t *testing.T) {
-	segs := randomSegments(3, 3*checkEvery)
+	m := NewMirror(randomSegments(3, 3*checkEvery), 3600)
 	r, _ := feature.NewRegion(feature.Drop, 600, -1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Search(ctx, segs, r, 0.2, 3600, math.MinInt64); !errors.Is(err, context.Canceled) {
+	if _, err := m.Search(ctx, r, 0.2, math.MinInt64); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled context: %v", err)
 	}
-	got, err := Search(context.Background(), nil, r, 0.2, 3600, math.MinInt64)
+	got, err := NewMirror(nil, 3600).Search(context.Background(), r, 0.2, math.MinInt64)
 	if err != nil || got == nil || len(got) != 0 {
 		t.Fatalf("empty approximation: %v, %v", got, err)
 	}
 }
 
-// TestSearchOrder judges the radix sort: over random approximations with
-// negative timestamps and a gap that makes TD − min need five 11-bit
-// digits, Search's output must equal a (TD, TB) comparison sort of the
-// same pairs, and TDs must tie across end segments often enough that an
-// unstable sort would show.
+// TestSearchOrder checks that Search emits its answer in strictly
+// ascending (t_B, t_D) without sorting it: over random approximations
+// with negative timestamps, both kinds and every span, each match must
+// follow the one before, and end segments must hold several matches
+// often enough that the order within one shows.
 func TestSearchOrder(t *testing.T) {
 	const eps, w = 0.2, 3600
-	ties := 0
+	shared := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		segs := randomSegments(seed, 1500)
 		for i := range segs {
-			d := int64(-1) << 50
-			if i >= len(segs)/2 {
-				d += 1 << 45
-			}
-			segs[i].Ts += d
-			segs[i].Te += d
+			segs[i].Ts -= 1 << 50
+			segs[i].Te -= 1 << 50
 		}
+		m := NewMirror(segs, w)
 		for _, kind := range []feature.Kind{feature.Drop, feature.Jump} {
-			for _, mag := range []float64{0.5, 3} {
-				V := mag
-				if kind == feature.Drop {
-					V = -mag
-				}
-				r, err := feature.NewRegion(kind, w, V)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := Search(context.Background(), segs, r, eps, w, math.MinInt64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := slices.Clone(got)
-				slices.SortFunc(want, compareTDTB)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("seed %d %v V=%v: match %d of %d is %+v, the (TD, TB) order has %+v", seed, kind, V, i, len(got), got[i], want[i])
+			for _, T := range []int64{w / 100, w / 4, w} {
+				for _, mag := range []float64{0.5, 3} {
+					V := mag
+					if kind == feature.Drop {
+						V = -mag
 					}
-					if i > 0 && got[i].From.Start == got[i-1].From.Start {
-						ties++
+					r, err := feature.NewRegion(kind, T, V)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := m.Search(context.Background(), r, eps, math.MinInt64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 1; i < len(got); i++ {
+						if compareTBTD(got[i-1], got[i]) >= 0 {
+							t.Fatalf("seed %d %v T=%d V=%v: match %d of %d, %+v, does not follow %+v in (t_B, t_D) order",
+								seed, kind, T, V, i, len(got), got[i], got[i-1])
+						}
+						if got[i].To.Start == got[i-1].To.Start {
+							shared++
+						}
 					}
 				}
 			}
 		}
 	}
-	if ties == 0 {
-		t.Fatal("vacuous order check: no TD ties across end segments")
+	if shared == 0 {
+		t.Fatal("vacuous order check: no end segment with two matches")
+	}
+}
+
+// TestLevel pins the span a search reads: the smallest kept span at
+// least T.
+func TestLevel(t *testing.T) {
+	const w = 28800
+	for _, c := range []struct {
+		T    int64
+		want int
+	}{
+		{w, 0}, {w/2 + 1, 0}, {w / 2, 1}, {w/4 + 1, 1}, {w / 4, 2},
+		{w / 64, 6}, {w/64 - 1, 6}, {1, 6},
+	} {
+		if got := level(c.T, w); got != c.want || w>>got < c.T {
+			t.Errorf("level(%d, %d) = %d, want %d", c.T, w, got, c.want)
+		}
+	}
+	if got := level(1, 3); got != 1 {
+		t.Errorf("level(1, 3) = %d, want 1: spans 3 and 1 only", got)
+	}
+}
+
+// TestMirrorBounds checks every stored bound against its definition,
+// computed pair by pair: for each end segment and span, the lowest
+// drop-oriented Δv bound over the self pair and every CD ending within
+// the span.
+func TestMirrorBounds(t *testing.T) {
+	const w = 3600
+	for seed := int64(1); seed <= 3; seed++ {
+		segs := randomSegments(seed, 300)
+		m := NewMirror(segs, w)
+		for kind, bs := range map[feature.Kind]*[levels][]float64{feature.Drop: &m.drop, feature.Jump: &m.jump} {
+			sign := 1.0
+			if kind == feature.Jump {
+				sign = -1
+			}
+			for k := range bs {
+				if len(bs[k]) != len(segs) {
+					t.Fatalf("seed %d %v span w>>%d: %d bounds for %d segments", seed, kind, k, len(bs[k]), len(segs))
+				}
+				for j, ab := range segs {
+					start := sign * ab.Vs
+					for _, cd := range segs[:j] {
+						if cd.Te >= ab.Ts-w>>k {
+							slack := truncSlack * (math.Abs(cd.Vs) + math.Abs(cd.Ve))
+							start = max(start, max(sign*cd.Vs, sign*cd.Ve)+slack)
+						}
+					}
+					if want := min(sign*ab.Vs, sign*ab.Ve) - start; bs[k][j] != want {
+						t.Fatalf("seed %d %v span w>>%d, end segment %d: bound %v, want %v", seed, kind, k, j, bs[k][j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMirrorExtendEqualsMount checks that a mirror extended batch by
+// batch, in random batch sizes from one segment to a few windows' worth,
+// holds exactly the bounds of a mirror derived at once from the same
+// segments, and that every mirror along the way still does.
+func TestMirrorExtendEqualsMount(t *testing.T) {
+	const w = 3600
+	rng := rand.New(rand.NewSource(7))
+	for seed := int64(1); seed <= 4; seed++ {
+		segs := randomSegments(seed, 600)
+		var chain []*Mirror
+		m := NewMirror(nil, w)
+		for n := 0; n < len(segs); {
+			step := min(len(segs)-n, 1+rng.Intn([]int{1, 4, 40}[rng.Intn(3)]))
+			m = m.Extend(segs[n : n+step])
+			n += step
+			chain = append(chain, m)
+		}
+		for _, m := range chain {
+			if at := NewMirror(m.Segments(), w); !reflect.DeepEqual(m, at) {
+				t.Fatalf("seed %d: the mirror extended to %d segments differs from one derived at once", seed, len(m.Segments()))
+			}
+		}
 	}
 }
 
@@ -269,32 +396,36 @@ func TestRefineAllocatesNothing(t *testing.T) {
 	}
 }
 
-// broadSearch is a drop search with T = w over 20 000 segments that
-// refines a few hundred thousand pairs.
-func broadSearch() ([]segment.Segment, feature.Region, float64, int64) {
+// broadSearch is a drop search with T = w over a mirror of 20 000
+// segments that refines a few hundred thousand pairs.
+func broadSearch() (*Mirror, feature.Region, float64) {
 	const w = 8 * 3600
 	r, _ := feature.NewRegion(feature.Drop, w, -2)
-	return randomSegments(1, 20000), r, 0.2, w
+	return NewMirror(randomSegments(1, 20000), w), r, 0.2
 }
 
 // TestSearchBroadAllocations checks that a broad search allocates its
-// exact-size result and nothing else: the pass's output, the sort's
-// scratch and the deque come from the pool. The pool caches buffers per
-// P, so a goroutine that moves between searches misses it once; the
-// cheapest of a few searches is judged.
+// exact-size result and nothing else: the pass's output buffer comes from
+// the pool. The pool caches buffers per P, so a goroutine that moves
+// between searches misses it once; the cheapest of a few searches is
+// judged. The collector is off while they run: after each cycle the
+// first use of a sync.Pool allocates its per-P array again, and searches
+// that each leave 14 MB of garbage would start a cycle during most of
+// them.
 func TestSearchBroadAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
 	}
-	segs, r, eps, w := broadSearch()
+	m, r, eps := broadSearch()
 	search := func() int {
-		got, err := Search(context.Background(), segs, r, eps, w, math.MinInt64)
+		got, err := m.Search(context.Background(), r, eps, math.MinInt64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return len(got)
 	}
 	n := search() // fills the pool
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	bytes, allocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	var before, after runtime.MemStats
 	for i := 0; i < 5; i++ {
@@ -313,21 +444,22 @@ func TestSearchBroadAllocations(t *testing.T) {
 }
 
 func BenchmarkSearch(b *testing.B) {
-	segs := randomSegments(1, 20000)
+	m := NewMirror(randomSegments(1, 20000), 8*3600)
 	r, _ := feature.NewRegion(feature.Drop, 3600, -4)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Search(context.Background(), segs, r, 0.2, 8*3600, math.MinInt64); err != nil {
+		if _, err := m.Search(context.Background(), r, 0.2, math.MinInt64); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSearchBroad(b *testing.B) {
-	segs, r, eps, w := broadSearch()
+	m, r, eps := broadSearch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Search(context.Background(), segs, r, eps, w, math.MinInt64); err != nil {
+		if _, err := m.Search(context.Background(), r, eps, math.MinInt64); err != nil {
 			b.Fatal(err)
 		}
 	}

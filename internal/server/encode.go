@@ -46,6 +46,11 @@ func appendSensorMatches(bw *bufio.Writer, sm segdiff.SensorMatches) error {
 		}
 		// Fill the free buffer with as many matches as surely fit.
 		b := bw.AvailableBuffer()
+		// Matches come grouped by end segment, so a run of them shares
+		// its "to" interval: b[toAt:toAt+toLen] holds the text of the
+		// previous match's, once it is in this buffer, for the next to
+		// copy.
+		toAt, toLen := -1, 0
 		for more := true; more && i < len(sm.Matches); more = cap(b)-len(b) >= maxMatchBytes {
 			if i > 0 {
 				b = append(b, ',')
@@ -56,9 +61,15 @@ func appendSensorMatches(bw *bufio.Writer, sm segdiff.SensorMatches) error {
 			b = append(b, `,"end":`...)
 			b = appendTime(b, m.From.End)
 			b = append(b, `},"to":{"start":`...)
-			b = appendTime(b, m.To.Start)
-			b = append(b, `,"end":`...)
-			b = appendTime(b, m.To.End)
+			if toAt >= 0 && m.To == sm.Matches[i-1].To {
+				b = append(b, b[toAt:toAt+toLen]...)
+			} else {
+				toAt = len(b)
+				b = appendTime(b, m.To.Start)
+				b = append(b, `,"end":`...)
+				b = appendTime(b, m.To.End)
+				toLen = len(b) - toAt
+			}
 			b = append(b, "}}"...)
 			i++
 		}

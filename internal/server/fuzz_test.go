@@ -110,10 +110,12 @@ const maxFuzzMatches = 100_000
 // FuzzAppendSensorMatches judges the hand encoder of /v1/drops and
 // /v1/jumps against encoding/json: for any sensor string (every valid
 // name, and the escaping fallback for the rest), nil, empty and long
-// match slices, any int64s and any write buffer size, the line it writes
-// must be byte-identical to json.NewEncoder(...).Encode of the same
+// match slices, runs of 1 + run matches sharing their "to" interval, any
+// int64s and any write buffer size, the line it writes must be
+// byte-identical to json.NewEncoder(...).Encode of the same
 // SensorMatches. testdata/fuzz holds the checked-in corpus: nil and empty
-// slices, 10⁵ matches of extreme int64s, a 17-byte buffer, an escaped name.
+// slices, 10⁵ matches of extreme int64s, a 17-byte buffer, an escaped
+// name, and runs of equal "to" intervals across buffer flushes.
 func FuzzAppendSensorMatches(f *testing.F) {
 	for _, s := range []struct {
 		sensor     string
@@ -121,25 +123,28 @@ func FuzzAppendSensorMatches(f *testing.F) {
 		nilMatches bool
 		a, b, c, d int64
 		bufSize    uint16
+		run        uint8
 	}{
-		{"alpha", 3, false, 0, 60, 120, 180, 0},
-		{"neg", 1000, false, -86400, -1, math.MinInt64 + 7, 3, 16},
-		{strings.Repeat("a", 300), 40, false, math.MaxInt64, 0, 1, -1, 1},
-		{"<a&b>", 2, false, 1, 2, 3, 4, 0},
-		{"quo\"te\\n\x00\u2028\xff é", 1, false, 5, 6, 7, 8, 0},
-		{"", 0, true, 0, 0, 0, 0, 0},
+		{"alpha", 3, false, 0, 60, 120, 180, 0, 0},
+		{"neg", 1000, false, -86400, -1, math.MinInt64 + 7, 3, 16, 0},
+		{strings.Repeat("a", 300), 40, false, math.MaxInt64, 0, 1, -1, 1, 0},
+		{"<a&b>", 2, false, 1, 2, 3, 4, 0, 0},
+		{"quo\"te\\n\x00\u2028\xff é", 1, false, 5, 6, 7, 8, 0, 0},
+		{"", 0, true, 0, 0, 0, 0, 0, 0},
+		{"runs", 700, false, 1_700_000_000, 1_700_000_600, 1_700_003_000, 1_700_003_600, 512, 6},
 	} {
-		f.Add(s.sensor, s.n, s.nilMatches, s.a, s.b, s.c, s.d, s.bufSize)
+		f.Add(s.sensor, s.n, s.nilMatches, s.a, s.b, s.c, s.d, s.bufSize, s.run)
 	}
-	f.Fuzz(func(t *testing.T, sensor string, n uint32, nilMatches bool, a, b, c, d int64, bufSize uint16) {
+	f.Fuzz(func(t *testing.T, sensor string, n uint32, nilMatches bool, a, b, c, d int64, bufSize uint16, run uint8) {
 		sm := segdiff.SensorMatches{Sensor: sensor}
 		if !nilMatches {
 			sm.Matches = make([]segdiff.Match, n%(maxFuzzMatches+1))
 			for i := range sm.Matches {
 				k := int64(i)
+				e := k / (1 + int64(run)) // the end segment's index
 				sm.Matches[i] = segdiff.Match{
 					From: segdiff.Interval{Start: a + k, End: b - k},
-					To:   segdiff.Interval{Start: c ^ k, End: d * k},
+					To:   segdiff.Interval{Start: c ^ e, End: d * e},
 				}
 			}
 		}

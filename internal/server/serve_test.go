@@ -109,14 +109,17 @@ func BenchmarkServeDrops(b *testing.B) {
 }
 
 // BenchmarkAppendSensorMatches encodes a broad answer of Unix-second
-// timestamps into a discarded stream.
+// timestamps into a discarded stream. Its matches come in runs of five
+// sharing an end segment, as answers in (t_B, t_D) order do: list Q's
+// first 300 queries average 4.9 matches per end segment on a 545-day
+// sensor.
 func BenchmarkAppendSensorMatches(b *testing.B) {
 	sm := segdiff.SensorMatches{Sensor: "walk", Matches: make([]segdiff.Match, 10_000)}
 	for i := range sm.Matches {
-		t := 1_700_000_000 + int64(i)*600
+		t, end := 1_700_000_000+int64(i)*600, 1_700_003_000+int64(i/5)*3000
 		sm.Matches[i] = segdiff.Match{
 			From: segdiff.Interval{Start: t, End: t + 600},
-			To:   segdiff.Interval{Start: t + 3000, End: t + 3600},
+			To:   segdiff.Interval{Start: end, End: end + 600},
 		}
 	}
 	bw := bufio.NewWriterSize(io.Discard, searchBufBytes)

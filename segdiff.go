@@ -199,6 +199,9 @@ func (ix *Index) Close() error { return ix.st.Close() }
 // Drops searches for periods experiencing a drop of at least |v| value
 // units (v must be negative) within a span of at most span. No true event
 // is missed; every returned match contains an event with change ≤ v + 2ε.
+// Matches come in ascending order of where the drop ends (To.Start), then
+// of where it starts (From.Start), so data appended later only adds to
+// the tail of an answer.
 func (ix *Index) Drops(span time.Duration, v float64) ([]Match, error) {
 	return ix.search(context.Background(), feature.Drop, span, v)
 }
