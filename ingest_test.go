@@ -18,7 +18,8 @@ import (
 // results.
 func TestAppendAllMatchesSequential(t *testing.T) {
 	const sensors = 5
-	opts := Options{Epsilon: 0.2, Window: 8 * time.Hour, IngestConcurrency: 4}
+	setGOMAXPROCS(t, 4)
+	opts := Options{Epsilon: 0.2, Window: 8 * time.Hour}
 
 	// Parallel: two half-batches per sensor, interleaved across sensors, so
 	// grouping and order preservation are both exercised.
@@ -77,7 +78,8 @@ func TestAppendAllMatchesSequential(t *testing.T) {
 // TestAppendAllError: a bad batch fails its own sensor only; the other
 // sensors commit and stay searchable.
 func TestAppendAllError(t *testing.T) {
-	c := NewMemoryCollection(Options{Epsilon: 0.2, Window: 8 * time.Hour, IngestConcurrency: 2})
+	setGOMAXPROCS(t, 2)
+	c := NewMemoryCollection(Options{Epsilon: 0.2, Window: 8 * time.Hour})
 	defer c.Close()
 	good := points(3, 500)
 	bad := []Point{{Time: 100, Value: 1}, {Time: 50, Value: 2}} // time going backwards
@@ -108,7 +110,8 @@ func TestAppendAllError(t *testing.T) {
 // a crowd of goroutines searches the same collection. Run with -race.
 func TestIngestConcurrentWithSearchStress(t *testing.T) {
 	const sensors = 4
-	c := NewMemoryCollection(Options{Epsilon: 0.2, Window: 8 * time.Hour, IngestConcurrency: 2, SearchConcurrency: 2})
+	setGOMAXPROCS(t, 2)
+	c := NewMemoryCollection(Options{Epsilon: 0.2, Window: 8 * time.Hour})
 	defer c.Close()
 
 	// Seed every sensor so searches have work from the start.

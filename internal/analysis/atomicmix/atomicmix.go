@@ -1,12 +1,13 @@
 // Package atomicmix implements the segdifflint analyzer forbidding mixed
 // atomic and plain access to the same memory.
 //
-// The engine's hot counters are split across two idioms: fields of the
-// sync/atomic value types (the pager's per-frame pin counts and reference
-// bits, pager.frame.pins/used, and Pager.nFrames)
-// and plain integer fields that every accessor touches through the
-// sync/atomic functions (the cache-line-padded shard statistics,
-// padUint64.v). Both idioms are only race-free when they are total: one
+// Atomic memory comes in two idioms: fields of the sync/atomic value types
+// (the WAL's commit and fsync counters, the obs registry's counters and
+// gauges, sqlmini's zone-skip and catalog counters, core's published
+// snapshot pointer, the server's request sequence) and plain integer
+// fields that every accessor touches through the sync/atomic functions
+// (no field of the module uses this idiom today; rule 1 keeps it total if
+// one does). Both idioms are only race-free when they are total: one
 // plain load or store of a word that other goroutines update atomically is
 // a data race, and one that the race detector frequently cannot see
 // because the plain access sits on a cold path (a reset, a snapshot, a
@@ -21,8 +22,8 @@
 //  2. an assignment that overwrites a whole struct value containing such a
 //     field, or containing a field of a sync/atomic value type — the
 //     assignment stores over the atomic cell with plain MOVs
-//     (`s.stats = statCounters{}` is this bug);
-//  3. a value copy of a sync/atomic-typed field (reading `fr.pins` other
+//     (`s.stats = counters{}` over a struct of atomic cells is this bug);
+//  3. a value copy of a sync/atomic-typed field (reading `l.commits` other
 //     than to call its methods or take its address).
 //
 // Cross-function and cross-package mixes are the point: the atomic uses

@@ -1,11 +1,11 @@
 // Fixture for the atomicmix analyzer: counters mixing sync/atomic and
-// plain access, modelled on the pager's padded shard statistics.
+// plain access, in the shape of cache-line-padded per-stripe statistics.
 package atomicmix
 
 import "sync/atomic"
 
-// pad mirrors pager.padUint64: a plain word always accessed through the
-// sync/atomic functions.
+// pad is a plain word, padded to a cache line, always accessed through
+// the sync/atomic functions.
 type pad struct {
 	v uint64
 	_ [56]byte

@@ -1,18 +1,11 @@
 // Package latchorder implements the segdifflint analyzer enforcing the
-// engine's two deterministic-ordering conventions that walorder's WAL
-// dataflow does not cover:
-//
-//  1. shard latches are acquired in ascending index order (lockAll's
-//     deadlock-avoidance protocol): a descending loop that Lock/RLocks
-//     an indexed element is reported. Release order is free — unlockAll
-//     deliberately unlocks descending;
-//  2. durable writes must not be ordered by map iteration: ranging over
-//     a map and flushing or syncing inside the body (directly or through
-//     a callee that walorder's summaries say writes durably) makes the
-//     on-disk write order nondeterministic across runs, which the
-//     crash-recovery tests rely on being stable. Iterate a sorted slice
-//     instead (the engine's sortedFramesLocked / sortedTableNames
-//     convention).
+// engine's deterministic-ordering convention that walorder's WAL dataflow
+// does not cover: durable writes must not be ordered by map iteration.
+// Ranging over a map and flushing or syncing inside the body (directly or
+// through a callee that walorder's summaries say writes durably) makes
+// the on-disk write order nondeterministic across runs, which the
+// crash-recovery tests rely on being stable. Iterate a sorted slice
+// instead (the engine's sortedTableNames / pager sortByID convention).
 //
 // The analyzer shares walorder's module facts: the flush-primitive table
 // and the transitive WritesFile summaries.
@@ -20,7 +13,6 @@ package latchorder
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"segdiff/internal/analysis"
@@ -31,97 +23,16 @@ import (
 // Analyzer is the latchorder analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:        "latchorder",
-	Doc:         "latches are acquired in ascending index order and durable writes are not ordered by map iteration",
+	Doc:         "durable writes are not ordered by map iteration",
 	Run:         run,
 	ModuleFacts: walorder.ModuleFacts,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		checkLatchOrder(pass, f)
 		checkMapFlush(pass, f)
 	}
 	return nil
-}
-
-// checkLatchOrder reports indexed Lock/RLock calls inside a descending
-// for loop: shard latches must be acquired in ascending order.
-func checkLatchOrder(pass *analysis.Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		loop, ok := n.(*ast.ForStmt)
-		if !ok {
-			return true
-		}
-		iv := descendingLoopVar(pass.Info, loop)
-		if iv == nil {
-			return true
-		}
-		ast.Inspect(loop.Body, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-				return true
-			}
-			if indexedBy(pass.Info, sel.X, iv) {
-				pass.Reportf(call.Pos(),
-					"%s inside a descending loop acquires latches in reverse index order; acquire in ascending order (release order is free)",
-					sel.Sel.Name)
-			}
-			return true
-		})
-		return true
-	})
-}
-
-// descendingLoopVar returns the loop variable object when loop's post
-// statement decrements it (i-- or i -= k), nil otherwise.
-func descendingLoopVar(info *types.Info, loop *ast.ForStmt) types.Object {
-	var id *ast.Ident
-	switch post := loop.Post.(type) {
-	case *ast.IncDecStmt:
-		if post.Tok != token.DEC {
-			return nil
-		}
-		id, _ = ast.Unparen(post.X).(*ast.Ident)
-	case *ast.AssignStmt:
-		if post.Tok != token.SUB_ASSIGN || len(post.Lhs) != 1 {
-			return nil
-		}
-		id, _ = ast.Unparen(post.Lhs[0]).(*ast.Ident)
-	default:
-		return nil
-	}
-	if id == nil {
-		return nil
-	}
-	o := info.Uses[id]
-	if o == nil {
-		o = info.Defs[id]
-	}
-	return o
-}
-
-// indexedBy reports whether expr contains an index expression whose index
-// uses the object iv (x[i].mu, shards[i], &pool[i].latch, ...).
-func indexedBy(info *types.Info, expr ast.Expr, iv types.Object) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		ix, ok := n.(*ast.IndexExpr)
-		if !ok {
-			return true
-		}
-		ast.Inspect(ix.Index, func(m ast.Node) bool {
-			if id, ok := m.(*ast.Ident); ok && info.Uses[id] == iv {
-				found = true
-			}
-			return true
-		})
-		return true
-	})
-	return found
 }
 
 // checkMapFlush reports flush primitives (or calls into functions that

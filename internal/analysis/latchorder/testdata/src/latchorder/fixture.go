@@ -1,5 +1,5 @@
-// Fixture for the latchorder analyzer: latch acquisition order and
-// map-ordered durable writes, modelled on the engine's sharded pager.
+// Fixture for the latchorder analyzer: map-ordered durable writes,
+// modelled on the engine's per-file pagers.
 package latchorder
 
 // Pager mirrors the engine's buffer pool; Sync is a flush primitive in
@@ -8,53 +8,6 @@ type Pager struct{}
 
 func (pg *Pager) Sync() error  { return nil }
 func (pg *Pager) Flush() error { return nil }
-
-// ---- latch acquisition order ----
-
-type latch struct{}
-
-func (l *latch) Lock()    {}
-func (l *latch) RLock()   {}
-func (l *latch) Unlock()  {}
-func (l *latch) RUnlock() {}
-
-type sharded struct {
-	shards [8]struct{ mu latch }
-}
-
-// goodLockAll acquires ascending and releases descending — the engine's
-// lockAll/unlockAll protocol.
-func goodLockAll(s *sharded) {
-	for i := 0; i < len(s.shards); i++ {
-		s.shards[i].mu.Lock()
-	}
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
-}
-
-// badLockAll acquires descending, which deadlocks against an ascending
-// locker.
-func badLockAll(s *sharded) {
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Lock() // want `Lock inside a descending loop acquires latches in reverse index order`
-	}
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
-}
-
-// badReadLockAll: read latches follow the same protocol.
-func badReadLockAll(s *sharded) {
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.RLock() // want `RLock inside a descending loop acquires latches in reverse index order`
-	}
-	for i := 0; i < len(s.shards); i++ {
-		s.shards[i].mu.RUnlock()
-	}
-}
-
-// ---- map-ordered durable writes ----
 
 // badMapFlush syncs in map iteration order: nondeterministic on-disk
 // write order across runs.

@@ -102,8 +102,8 @@ func (e *Engine) estimate(k string) int {
 	return e.stats[k] // want `estimate accesses Engine.stats \(guarded by Engine.mu\) without acquiring`
 }
 
-// bucket mirrors pager.shard: one lock stripe of a sharded pool, with its
-// own mutex guarding its own frame map and clock state.
+// bucket is one lock stripe of a sharded pool, with its own mutex
+// guarding its own frame map and clock state.
 type bucket struct {
 	mu     sync.RWMutex
 	frames map[uint32]int // guarded by mu
@@ -117,7 +117,7 @@ type pool struct {
 }
 
 // advance is a per-stripe helper relying on the caller's latch, the shape
-// of the pager's makeRoom/insertFrame/removeFrame helpers.
+// of the pager's makeRoom/insertFrame/removeFrame helpers on one mutex.
 //
 // locks: b.mu
 func (b *bucket) advance() int {
@@ -140,7 +140,7 @@ func (p *pool) lookup(id uint32) int {
 	return b.frames[id]
 }
 
-// sweep is the lockAll shape: an ordered all-stripe latch acquired
+// sweep is an ordered all-stripe latch acquired
 // through an index expression, covering every stripe's guarded fields.
 func (p *pool) sweep() int {
 	n := 0

@@ -9,13 +9,13 @@
 // or redo it. The analyzer tracks a may-dirty dataflow fact ("a page has
 // been marked dirty and not yet WAL-appended") through each function's
 // CFG and across calls via bottom-up summaries, and reports any flush
-// primitive (Pager.Flush, Pager.Sync, Pager.DropCache, Pager.Close)
+// primitive (Pager.Flush, Pager.Sync, Pager.Close)
 // reachable while the fact holds — whether the mark, the append, and the
 // flush sit in the same function or three functions apart.
 //
-// The companion latchorder analyzer enforces the engine's two other
-// ordering conventions (ascending latch acquisition, sorted durable
-// writes); walorder exports its WritesFile summaries for it.
+// The companion latchorder analyzer enforces the engine's other ordering
+// convention (durable writes in sorted, not map, order); walorder exports
+// its WritesFile summaries for it.
 package walorder
 
 import (
@@ -69,16 +69,15 @@ const (
 // names match the engine's pager and wal APIs; fixtures declare types
 // with the same names.
 var prims = map[[2]string]primKind{
-	{"Page", "MarkDirty"}:  primMark,
-	{"Pager", "Allocate"}:  primMark, // a fresh page is born dirty
-	{"Pager", "LogDirty"}:  primAppend,
-	{"Log", "Stage"}:       primAppend,
-	{"Log", "AppendPage"}:  primAppend,
-	{"Log", "Commit"}:      primAppend,
-	{"Pager", "Flush"}:     primFlush,
-	{"Pager", "Sync"}:      primFlush,
-	{"Pager", "DropCache"}: primFlush,
-	{"Pager", "Close"}:     primFlush,
+	{"Page", "MarkDirty"}: primMark,
+	{"Pager", "Allocate"}: primMark, // a fresh page is born dirty
+	{"Pager", "LogDirty"}: primAppend,
+	{"Log", "Stage"}:      primAppend,
+	{"Log", "AppendPage"}: primAppend,
+	{"Log", "Commit"}:     primAppend,
+	{"Pager", "Flush"}:    primFlush,
+	{"Pager", "Sync"}:     primFlush,
+	{"Pager", "Close"}:    primFlush,
 }
 
 // classify returns the primitive role of a call, or primNone.
@@ -269,7 +268,7 @@ func WritesDurably(moduleFacts any, fn *types.Func) bool {
 }
 
 // IsFlushPrimitive reports whether the call is one of the engine's flush
-// primitives (Pager.Flush/Sync/DropCache/Close).
+// primitives (Pager.Flush/Sync/Close).
 func IsFlushPrimitive(info *types.Info, call *ast.CallExpr) bool {
 	return classify(info, call) == primFlush
 }

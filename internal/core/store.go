@@ -794,10 +794,6 @@ func (s *Store) TraceSearch(kind feature.Kind, T int64, V float64, mode sqlmini.
 // writers.
 func (s *Store) Metrics() obs.Snapshot { return s.db.Metrics() }
 
-// DropCache simulates a cold cache before a query (paper Sections 6.1–6.3
-// flush the OS cache before every query).
-func (s *Store) DropCache() error { return s.db.DropCache() }
-
 // DB exposes the underlying engine for ad-hoc SQL exploration (used by the
 // CLI's sql subcommand and the benchmarks).
 func (s *Store) DB() *sqlmini.DB { return s.db }

@@ -466,23 +466,43 @@ func TestEmptyStoreSearch(t *testing.T) {
 	}
 }
 
-func TestDropCacheKeepsResults(t *testing.T) {
-	series := randomSeries(60, 300)
-	st := memStore(t, Options{Epsilon: 0.2, Window: 3000})
-	ingest(t, st, series)
-	warm, err := st.SearchDrops(1000, -2)
-	if err != nil {
-		t.Fatal(err)
+// TestParallelMatchesSequential checks that the reference union's branch
+// fan-out never changes an answer: stores with UnionWorkers 1 (branches
+// evaluated one after another) and 8 return identical matches in both
+// forced plan modes across a grid of queries, for both kinds.
+func TestParallelMatchesSequential(t *testing.T) {
+	series := randomSeries(23, 2000)
+	open := func(workers int) *Store {
+		st := memStore(t, Options{Epsilon: 0.2, Window: 3000, DB: sqlmini.Options{UnionWorkers: workers}})
+		ingest(t, st, series)
+		t.Cleanup(func() { st.Close() })
+		return st
 	}
-	if err := st.DropCache(); err != nil {
-		t.Fatal(err)
+	seq, par := open(1), open(8)
+	total := 0
+	for _, mode := range []sqlmini.PlanMode{sqlmini.PlanForceIndex, sqlmini.PlanForceScan} {
+		for _, T := range []int64{600, 3000} {
+			for _, q := range []struct {
+				kind feature.Kind
+				V    float64
+			}{{feature.Drop, -1}, {feature.Drop, -4}, {feature.Jump, 1}, {feature.Jump, 4}} {
+				s, err := seq.SearchMode(q.kind, T, q.V, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := par.SearchMode(q.kind, T, q.V, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(s, p) {
+					t.Fatalf("%v %v T=%d V=%v: sequential %d matches, parallel %d", mode, q.kind, T, q.V, len(s), len(p))
+				}
+				total += len(s)
+			}
+		}
 	}
-	cold, err := st.SearchDrops(1000, -2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warm) != len(cold) {
-		t.Fatalf("cold results differ: %d vs %d", len(warm), len(cold))
+	if total == 0 {
+		t.Fatal("no query matched: the comparison is vacuous")
 	}
 }
 

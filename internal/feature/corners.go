@@ -43,7 +43,7 @@ func identicalCorner(a, b Point) bool {
 func ExtractBoundaries(p Parallelogram, epsilon float64) ([]Boundary, error) {
 	var out []Boundary
 	for _, kind := range [...]Kind{Drop, Jump} {
-		cs, n, err := BoundaryCorners(p, epsilon, kind)
+		cs, n, err := BoundaryCorners(&p, epsilon, kind)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +63,7 @@ func ExtractBoundaries(p Parallelogram, epsilon float64) ([]Boundary, error) {
 // consecutive duplicates, leaving the n corners in cs[:n] in ascending Δt.
 // n = 0 means the storage gate skips the boundary: it can never satisfy a
 // drop (V < 0) or jump (V > 0) query.
-func BoundaryCorners(p Parallelogram, epsilon float64, kind Kind) (cs [3]Point, n int, err error) {
+func BoundaryCorners(p *Parallelogram, epsilon float64, kind Kind) (cs [3]Point, n int, err error) {
 	if epsilon < 0 {
 		return cs, 0, fmt.Errorf("feature: negative epsilon %v", epsilon)
 	}

@@ -206,14 +206,14 @@ func TestBoundaryCornersAllocatesNothing(t *testing.T) {
 		seen[p.Case] = true
 		for _, kind := range []Kind{Drop, Jump} {
 			if a := testing.AllocsPerRun(100, func() {
-				if _, _, err := BoundaryCorners(p, 0.2, kind); err != nil {
+				if _, _, err := BoundaryCorners(&p, 0.2, kind); err != nil {
 					t.Fatal(err)
 				}
 			}); a != 0 {
 				t.Fatalf("%v %v: %v allocations per call, want 0", p.Case, kind, a)
 			}
 		}
-		if _, _, err := BoundaryCorners(p, 0.2, Kind(7)); err == nil {
+		if _, _, err := BoundaryCorners(&p, 0.2, Kind(7)); err == nil {
 			t.Fatal("unknown kind accepted")
 		}
 	}

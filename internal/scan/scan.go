@@ -265,7 +265,7 @@ func (m *Mirror) pass(ctx context.Context, out []Match, r feature.Region, eps fl
 			if err != nil {
 				return nil, err
 			}
-			if out, err = refine(out, p, r, eps); err != nil {
+			if out, err = refine(out, &p, r, eps); err != nil {
 				return nil, err
 			}
 		}
@@ -275,7 +275,7 @@ func (m *Mirror) pass(ctx context.Context, out []Match, r feature.Region, eps fl
 			if err != nil {
 				return nil, err
 			}
-			if out, err = refine(out, p, r, eps); err != nil {
+			if out, err = refine(out, &p, r, eps); err != nil {
 				return nil, err
 			}
 		}
@@ -284,7 +284,7 @@ func (m *Mirror) pass(ctx context.Context, out []Match, r feature.Region, eps fl
 }
 
 // refine appends p's pair to out if its stored boundary of r's kind meets r.
-func refine(out []Match, p feature.Parallelogram, r feature.Region, eps float64) ([]Match, error) {
+func refine(out []Match, p *feature.Parallelogram, r feature.Region, eps float64) ([]Match, error) {
 	cs, n, err := feature.BoundaryCorners(p, eps, r.Kind)
 	if err != nil {
 		return nil, err

@@ -387,7 +387,7 @@ func TestRefineAllocatesNothing(t *testing.T) {
 	r, _ := feature.NewRegion(feature.Drop, 3600, -5)
 	out := make([]Match, 0, 1)
 	allocs := testing.AllocsPerRun(100, func() {
-		if out, err = refine(out[:0], p, r, 0.2); err != nil {
+		if out, err = refine(out[:0], &p, r, 0.2); err != nil {
 			t.Fatal(err)
 		}
 	})

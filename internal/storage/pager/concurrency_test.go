@@ -94,7 +94,6 @@ func TestConcurrentGetSharedHotSet(t *testing.T) {
 	const nPages = 16
 	p := buildFile(t, 64, nPages)
 	defer p.Close()
-	p.ResetStats()
 
 	const goroutines = 8
 	const iters = 1000
@@ -129,8 +128,7 @@ func TestConcurrentGetSharedHotSet(t *testing.T) {
 }
 
 // TestConcurrentReadersWithCheckpoints interleaves readers with Flush and
-// DropCache (checkpoint operations take the exclusive lock) to shake out
-// lock-ordering bugs between mu and the LRU latch.
+// Sync, which walk the whole pool under its mutex.
 func TestConcurrentReadersWithCheckpoints(t *testing.T) {
 	const nPages = 64
 	p := buildFile(t, 16, nPages)
@@ -166,73 +164,11 @@ func TestConcurrentReadersWithCheckpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%5 == 0 {
-			if err := p.DropCache(); err != nil {
+			if err := p.Sync(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestConcurrentResetStats hammers counter resets and snapshots against
-// readers bumping the same counters, and then verifies the cells are
-// coherently zeroable. resetStats used to overwrite the whole
-// statCounters struct with plain stores — mixed plain/atomic access that
-// the atomicmix analyzer now rejects statically (its structReset fixture
-// is this exact shape); this test pins the dynamic behavior of the
-// per-cell atomic replacement under -race.
-func TestConcurrentResetStats(t *testing.T) {
-	const nPages = 64
-	p := buildFile(t, 16, nPages)
-	defer func() {
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	errCh := make(chan error, 4)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				pg, err := p.Get(PageID(rng.Intn(nPages)))
-				if err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					return
-				}
-				pg.Release()
-			}
-		}(int64(g))
-	}
-	for i := 0; i < 200; i++ {
-		p.ResetStats()
-		_ = p.Stats()
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-	// After the final reset+traffic the counters must still be coherent:
-	// a fresh reset zeroes them completely.
-	p.ResetStats()
-	s := p.Stats()
-	if s.Hits != 0 || s.Misses != 0 || s.Reads != 0 {
-		t.Fatalf("counters not zeroed after ResetStats: %+v", s)
-	}
 }

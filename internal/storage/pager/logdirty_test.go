@@ -7,16 +7,14 @@ import (
 	"testing"
 )
 
-// TestLogDirtyVisitsExactlyTheUnloggedFrames drives a multi-shard pool
-// through every transition that creates or retires a dirty-unlogged frame
-// — allocate, re-dirty, log, flush, eviction write-back, drop, discard —
+// TestLogDirtyVisitsExactlyTheUnloggedFrames drives a pool through every
+// transition that creates or retires a dirty-unlogged frame — allocate,
+// re-dirty, log, flush, eviction write-back, close and reopen, discard —
 // and checks after each that LogDirty reports precisely those frames, in
-// ascending page order, from the per-shard sets and not a pool walk.
+// ascending page order, from the unlogged set and not a pool walk.
 func TestLogDirtyVisitsExactlyTheUnloggedFrames(t *testing.T) {
-	p := newMemPager(t, 256)
-	if p.numShardsForTest() < 2 {
-		t.Fatal("test needs a striped pool")
-	}
+	f := NewMemFile()
+	p := newPager(t, f, 256)
 	rng := rand.New(rand.NewSource(1))
 	want := map[PageID]bool{}
 	check := func(label string) {
@@ -91,11 +89,9 @@ func TestLogDirtyVisitsExactlyTheUnloggedFrames(t *testing.T) {
 	if id, drift := p.unloggedDriftForTest(); drift {
 		t.Fatalf("after eviction: unlogged set and frame flags disagree on page %d", id)
 	}
-	if err := p.DropCache(); err != nil {
-		t.Fatal(err)
-	}
+	p = reopen(t, p, f, 256)
 	want = map[PageID]bool{}
-	check("after drop")
+	check("after reopen")
 
 	dirty(30)
 	if err := p.Discard(); err != nil {

@@ -9,11 +9,27 @@ import (
 
 func newMemPager(t *testing.T, capacity int) *Pager {
 	t.Helper()
-	p, err := New(NewMemFile(), capacity)
+	return newPager(t, NewMemFile(), capacity)
+}
+
+func newPager(t *testing.T, f File, capacity int) *Pager {
+	t.Helper()
+	p, err := New(f, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// reopen closes p and returns a new Pager over f (p's file or a wrapper
+// of it): an empty pool with zeroed counters, so every Get reads its page
+// from the file.
+func reopen(t *testing.T, p *Pager, f File, capacity int) *Pager {
+	t.Helper()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return newPager(t, f, capacity)
 }
 
 func TestAllocateAndGet(t *testing.T) {
@@ -102,6 +118,43 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
+// TestClockSpansWholePool fills a DefaultCapacity pool, references every
+// 8th page and allocates one more page: the victim must be an unreferenced
+// frame from anywhere in the pool, so every referenced page stays cached.
+// A clock confined to the new page's share of the pool would evict a hot
+// page while cold ones remained elsewhere.
+func TestClockSpansWholePool(t *testing.T) {
+	p := newMemPager(t, DefaultCapacity)
+	defer p.Close()
+	for i := 0; i < DefaultCapacity; i++ {
+		pg, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Release()
+	}
+	for id := PageID(0); id < DefaultCapacity; id += 8 {
+		pg, err := p.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Release()
+	}
+	pg, err := p.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.Release()
+	for id := PageID(0); id < DefaultCapacity; id += 8 {
+		if !p.cachedForTest(id) {
+			t.Fatalf("hot page %d evicted while unreferenced frames remained", id)
+		}
+	}
+	if st := p.Stats(); st.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	}
+}
+
 func TestPinnedPagesNotEvicted(t *testing.T) {
 	p := newMemPager(t, 1)
 	pg0, _ := p.Allocate()
@@ -131,7 +184,8 @@ func TestReleasePanicsWhenUnpinned(t *testing.T) {
 }
 
 func TestHitMissCounters(t *testing.T) {
-	p := newMemPager(t, 2)
+	f := NewMemFile()
+	p := newPager(t, f, 2)
 	pg, _ := p.Allocate()
 	pg.Release()
 	g, _ := p.Get(0)
@@ -140,41 +194,13 @@ func TestHitMissCounters(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 0 {
 		t.Fatalf("stats after warm get: %+v", st)
 	}
-	if err := p.DropCache(); err != nil {
-		t.Fatal(err)
-	}
+	p = reopen(t, p, f, 2)
 	g, _ = p.Get(0)
 	g.Release()
 	st = p.Stats()
-	if st.Misses != 1 || st.Reads != 1 {
+	if st.Hits != 0 || st.Misses != 1 || st.Reads != 1 {
 		t.Fatalf("stats after cold get: %+v", st)
 	}
-	p.ResetStats()
-	if p.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero")
-	}
-}
-
-func TestDropCachePreservesData(t *testing.T) {
-	p := newMemPager(t, 16)
-	pg, _ := p.Allocate()
-	copy(pg.Data(), "persist")
-	pg.MarkDirty()
-	pg.Release()
-	if err := p.DropCache(); err != nil {
-		t.Fatal(err)
-	}
-	if n := p.cachedCountForTest(); n != 0 {
-		t.Fatalf("%d frames cached after DropCache", n)
-	}
-	g, err := p.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(g.Data()[:7], []byte("persist")) {
-		t.Fatal("data lost by DropCache")
-	}
-	g.Release()
 }
 
 func TestOSFilePersistence(t *testing.T) {
@@ -268,8 +294,8 @@ func TestDefaultCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Capacity() != DefaultCapacity {
-		t.Fatalf("capacity = %d", p.Capacity())
+	if p.capacity != DefaultCapacity {
+		t.Fatalf("capacity = %d", p.capacity)
 	}
 }
 

@@ -246,9 +246,7 @@ func TestAnalyzePageDeltaMatchesPager(t *testing.T) {
 		{PlanAuto, "SELECT a, b FROM t WHERE a <= ? AND b <= ? UNION SELECT a, b FROM t WHERE a <= ? AND b >= ?",
 			[]Value{Int(100), Real(4), Int(150), Real(120)}},
 	} {
-		if err := db.DropCache(); err != nil {
-			t.Fatal(err)
-		}
+		coldPools(t, db)
 		base := db.CacheStats()
 		tr, err := db.ExplainAnalyze(q.mode, q.sql, q.args...)
 		if err != nil {
@@ -276,9 +274,7 @@ func TestMetricsSnapshotMonotonic(t *testing.T) {
 	prev := db.Metrics()
 	for i := 0; i < 5; i++ {
 		if i == 2 {
-			if err := db.DropCache(); err != nil {
-				t.Fatal(err)
-			}
+			coldPools(t, db)
 		}
 		mustQuery(t, db, "SELECT a FROM t WHERE a <= ?", Int(int64(10*i)))
 		snap := db.Metrics()

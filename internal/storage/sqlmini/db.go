@@ -79,9 +79,9 @@ type indexHandle struct {
 // are safe for concurrent use under a reader/writer discipline: Query,
 // QueryMode, prepared Stmt queries, RowCount, TableSizeBytes,
 // IndexSizeBytes, CacheStats and Tables run concurrently under a shared
-// read lock (the buffer pool below them takes its own reader-friendly
-// latches), while Exec, batch commit, Checkpoint, DropCache and Close
-// serialize exclusively. Within one query, UNION branches additionally
+// read lock (each file's buffer pool below them serializes on its own
+// mutex), while Exec, batch commit, Checkpoint and Close serialize
+// exclusively. Within one query, UNION branches additionally
 // fan out across a bounded worker pool (Options.UnionWorkers).
 type DB struct {
 	mu      sync.RWMutex
@@ -975,24 +975,6 @@ func (db *DB) checkpointLocked() error {
 	}
 	if db.log != nil {
 		return db.log.Truncate()
-	}
-	return nil
-}
-
-// DropCache flushes and evicts every cached page in every file, simulating
-// the experiments' "operating system cache is flushed before every query".
-func (db *DB) DropCache() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, name := range db.sortedTableNames() {
-		if err := db.tables[name].pg.DropCache(); err != nil {
-			return err
-		}
-	}
-	for _, name := range db.sortedIndexNames() {
-		if err := db.indexes[name].pg.DropCache(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -1,6 +1,6 @@
 // Package sqlmini is a small embedded relational engine: the substrate
 // standing in for the MySQL instance of the paper's experiments. It
-// supports exactly the surface SegDiff and Exh need —
+// supports exactly the surface SegDiff needs —
 //
 //	CREATE TABLE t (col INT|REAL|TEXT, ...)
 //	CREATE INDEX i ON t (col, ...)

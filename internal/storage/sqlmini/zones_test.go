@@ -114,9 +114,7 @@ func TestZonePruningIdentity(t *testing.T) {
 func TestZonePruningSkipsPages(t *testing.T) {
 	db := openZoneDB(t, 5000)
 	defer db.Close()
-	if err := db.DropCache(); err != nil {
-		t.Fatal(err)
-	}
+	coldPools(t, db)
 	before := db.CacheStats()
 	rows, err := db.QueryMode(PlanForceScan, "SELECT * FROM f WHERE dv1 < 50")
 	if err != nil {
@@ -358,9 +356,7 @@ func TestAbortRestoresZonesAndStats(t *testing.T) {
 
 	// Cold cache: the batch reads the heap's tail page, then the index
 	// root — fail that second read.
-	if err := db.DropCache(); err != nil {
-		t.Fatal(err)
-	}
+	coldPools(t, db)
 	reg.SetScript(faultfs.Script{FailReadOp: reg.Reads() + 2})
 	db.BeginBatch()
 	doomed := [][]Value{{Real(-5e6), Real(9e6), Int(77), Text("aborted")}}

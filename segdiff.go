@@ -47,13 +47,13 @@
 // Searches are safe to issue from any number of goroutines and run in
 // parallel end to end: each reads an immutable snapshot of the committed
 // segments, published after every commit, and takes no engine lock, so a
-// search never waits on ingest. Options.SearchConcurrency bounds how many
-// sensors a Collection searches at once (default GOMAXPROCS).
+// search never waits on ingest. A Collection searches at most GOMAXPROCS
+// sensors at once.
 //
 // The write path is batched: Append buffers rows in memory and Sync (or
 // Finish/Close) pushes them through the engine in bulk — one writer-lock
 // acquisition per table, each secondary index applied as a sorted run on
-// its own worker (Options.IngestConcurrency), and one WAL group commit, so
+// its own worker (at most GOMAXPROCS at once), and one WAL group commit, so
 // a whole batch costs a single fsync. The batch's segments become
 // searchable once that commit succeeds. Ingestion into one Index (Append,
 // Sync, Abort, Finish, Prune) must stay single-goroutine. A Collection
@@ -102,33 +102,12 @@ type Options struct {
 	// Window is the longest time span searches will ever use
 	// (default 8 h). Queries require T ≤ Window.
 	Window time.Duration
-	// CachePages is the buffer-pool capacity per storage file, in 4 KiB
-	// pages (default 1024).
-	CachePages int
-	// SearchConcurrency bounds the read-path parallelism (default
-	// runtime.GOMAXPROCS): the number of sensors a Collection searches
-	// concurrently, and the number of union branches (point and line
-	// queries) the feature-index reference behind Explain evaluates
-	// concurrently. Set it to 1 for fully sequential searches; it never
-	// affects results, only latency.
-	SearchConcurrency int
-	// IngestConcurrency bounds the write-path parallelism (default
-	// runtime.GOMAXPROCS): the number of secondary indexes one batch
-	// commit updates concurrently, and the number of sensors a Collection
-	// ingests concurrently in AppendAll. Set it to 1 for fully sequential
-	// ingestion; it never affects stored bytes, only throughput.
-	IngestConcurrency int
 }
 
 func (o Options) toCore() core.Options {
 	return core.Options{
 		Epsilon: o.Epsilon,
 		Window:  int64(o.Window / time.Second),
-		DB: sqlmini.Options{
-			PoolPages:    o.CachePages,
-			UnionWorkers: o.SearchConcurrency,
-			WriteWorkers: o.IngestConcurrency,
-		},
 	}
 }
 
